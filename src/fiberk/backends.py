@@ -9,7 +9,7 @@ environment variable:
 
 Both paths evaluate exp(-|x - y|^p / (2 sigma^p)) summed against tangent dot
 products. For p = inf the kernel is the indicator of |x - y| < sigma, with
-value exp(-1/2) on the shell |x - y| = sigma (within 1e-12).
+value exp(-1/2) on the shell |x - y| = sigma (within a relative 1e-12).
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ __all__ = [
     "self_norms_sq",
 ]
 
-_SIGMA_TOL = 1e-12
+_SHELL_RTOL = 1e-12
 
 
 def kernel_scalar(d: float, p: float, sigma: float) -> float:
     """Scalar kernel value at center distance ``d``."""
     if math.isinf(p):
-        if abs(d - sigma) <= _SIGMA_TOL:
+        if abs(d - sigma) <= _SHELL_RTOL * sigma:
             return math.exp(-0.5)
         return 1.0 if d < sigma else 0.0
     with np.errstate(over="ignore"):
@@ -48,7 +48,7 @@ def kernel_scalar(d: float, p: float, sigma: float) -> float:
 def _kernel_of_dist_numpy(d: np.ndarray, p: float, sigma: float) -> np.ndarray:
     if math.isinf(p):
         k = np.where(d < sigma, 1.0, 0.0)
-        return np.where(np.abs(d - sigma) <= _SIGMA_TOL, math.exp(-0.5), k)
+        return np.where(np.abs(d - sigma) <= _SHELL_RTOL * sigma, math.exp(-0.5), k)
     with np.errstate(over="ignore"):
         return np.exp(-0.5 * (d / sigma) ** p)
 
@@ -66,15 +66,6 @@ def pair_inner_numpy(pos, tan, offsets, ia, ib, p, sigma) -> np.ndarray:
         a0, a1 = offsets[ia[n]], offsets[ia[n] + 1]
         b0, b1 = offsets[ib[n]], offsets[ib[n] + 1]
         out[n] = inner_numpy(pos[a0:a1], tan[a0:a1], pos[b0:b1], tan[b0:b1], p, sigma)
-    return out
-
-
-def norms_sq_numpy(pos, tan, offsets, p, sigma) -> np.ndarray:
-    n_fib = len(offsets) - 1
-    out = np.empty(n_fib)
-    for i in range(n_fib):
-        a0, a1 = offsets[i], offsets[i + 1]
-        out[i] = inner_numpy(pos[a0:a1], tan[a0:a1], pos[a0:a1], tan[a0:a1], p, sigma)
     return out
 
 
@@ -101,7 +92,7 @@ if HAVE_NUMBA:
                 dz = pos_a[i, 2] - pos_b[j, 2]
                 d = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if p_inf:
-                    if abs(d - sigma) <= 1e-12:
+                    if abs(d - sigma) <= _SHELL_RTOL * sigma:
                         k = math.exp(-0.5)
                     elif d < sigma:
                         k = 1.0
@@ -126,15 +117,6 @@ if HAVE_NUMBA:
             out[n] = _inner_nb(pos[a0:a1], tan[a0:a1], pos[b0:b1], tan[b0:b1], p, sigma)
         return out
 
-    @njit(cache=True)
-    def _norms_sq_nb(pos, tan, offsets, p, sigma):  # pragma: no cover
-        n_fib = len(offsets) - 1
-        out = np.empty(n_fib)
-        for i in range(n_fib):
-            a0, a1 = offsets[i], offsets[i + 1]
-            out[i] = _inner_nb(pos[a0:a1], tan[a0:a1], pos[a0:a1], tan[a0:a1], p, sigma)
-        return out
-
 
 _env = os.environ.get("FIBERK_BACKEND", "auto").lower()
 if _env == "numpy":
@@ -156,8 +138,9 @@ def inner(pos_a, tan_a, pos_b, tan_b, p: float, sigma: float) -> float:
     return inner_numpy(pos_a, tan_a, pos_b, tan_b, p, sigma)
 
 
-def pair_inner_products(pos, tan, offsets, ia, ib, p: float, sigma: float) -> np.ndarray:
-    """Kernel sums for many (ia[n], ib[n]) fiber pairs in packed atom arrays."""
+def _pair_inner(pos, tan, offsets, ia, ib, p, sigma):
+    # self_norms_sq calls this directly, not pair_inner_products, so that a
+    # wrapper around the public name sees only the cross pairs.
     ia = np.ascontiguousarray(ia, dtype=np.int64)
     ib = np.ascontiguousarray(ib, dtype=np.int64)
     if USE_NUMBA:
@@ -165,8 +148,13 @@ def pair_inner_products(pos, tan, offsets, ia, ib, p: float, sigma: float) -> np
     return pair_inner_numpy(pos, tan, offsets, ia, ib, p, sigma)
 
 
+def pair_inner_products(pos, tan, offsets, ia, ib, p: float, sigma: float) -> np.ndarray:
+    """Kernel sums for many (ia[n], ib[n]) fiber pairs in packed atom arrays."""
+    return _pair_inner(pos, tan, offsets, ia, ib, p, sigma)
+
+
 def self_norms_sq(pos, tan, offsets, p: float, sigma: float) -> np.ndarray:
-    """Squared norm of each fiber's current in packed atom arrays."""
-    if USE_NUMBA:
-        return _norms_sq_nb(pos, tan, offsets, p, sigma)
-    return norms_sq_numpy(pos, tan, offsets, p, sigma)
+    """Squared norm of each fiber's current in packed atom arrays: the pair
+    kernel sum of every fiber with itself."""
+    each = np.arange(len(offsets) - 1)
+    return _pair_inner(pos, tan, offsets, each, each, p, sigma)

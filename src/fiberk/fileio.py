@@ -138,8 +138,14 @@ def read_kcsv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not lines or lines[0] != "t,s,k":
         raise ValueError(f"{path}: missing 't,s,k' header")
     ts, ss, ks = [], [], []
-    for line in lines[1:]:
-        t, s, k = (float(v) for v in line.split(","))
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 't,s,k' values, got {line!r}")
+        try:
+            t, s, k = (float(v) for v in fields)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: unparseable value in {line!r}") from None
         ts.append(t)
         ss.append(s)
         ks.append(k)

@@ -9,6 +9,7 @@ ordered pairs) / N.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -139,89 +140,94 @@ def csr_reference(t: float) -> float:
     return 4.0 / 3.0 * math.pi * t**3
 
 
-def _pack_currents(fibers, kind, spacing):
-    positions = []
-    tangents = []
+def _center_and_pack(fibers, kind, spacing):
+    """Center each fiber once and discretize the centered copy in the same
+    pass, so no centered fiber outlives its atoms. Returns the centers and
+    the packed atoms (positions, tangents, offsets)."""
+    centers = np.empty((len(fibers), 3))
+    positions, tangents = [np.empty((0, 3))], [np.empty((0, 3))]
     offsets = np.zeros(len(fibers) + 1, dtype=np.int64)
     for i, f in enumerate(fibers):
-        cur = discretize(center(f, kind).fiber, spacing)
+        c = center(f, kind)
+        centers[i] = c.original_center
+        cur = discretize(c.fiber, spacing)
         positions.append(cur.positions)
         tangents.append(cur.tangents)
         offsets[i + 1] = offsets[i] + len(cur)
-    pos = np.ascontiguousarray(np.vstack(positions))
-    tan = np.ascontiguousarray(np.vstack(tangents))
-    return pos, tan, offsets
+    return centers, np.vstack(positions), np.vstack(tangents), offsets
 
 
-def _candidate_pairs(centers, in_window, rmax, bucketed):
-    """Unordered index pairs (i < j) with at least one endpoint in the window
-    and center distance <= rmax (rmax None: no distance bound).
+def _candidate_pairs(centers, in_window, rmax):
+    """Unordered index pairs (i < j), sorted by (i, j), with at least one
+    endpoint in the window and center distance <= rmax (rmax None: no bound).
 
-    The bucketed path grids centers at cell size rmax and scans neighbor
-    cells; it returns exactly the same pair set as the brute-force path.
+    Centers are binned into cubic cells at least rmax wide, so a qualifying
+    pair lies in the same or in adjacent cells. Each center is matched with
+    the later centers of its own cell and with every center of the 13
+    neighbour cells that follow its cell in linear order, which yields each
+    unordered pair once.
     """
     n = len(centers)
-    if n < 2:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    ia_list, ib_list = [], []
-    if rmax is None or not bucketed:
-        ii, jj = np.triu_indices(n, k=1)
-        keep = in_window[ii] | in_window[jj]
-        ii, jj = ii[keep], jj[keep]
+    keys = np.zeros((n, 3))
+    if rmax is not None:
+        # Slightly wider than rmax, so rounding in centers / cell and in the
+        # distance cannot put a pair at distance <= rmax two cells apart.
+        cell = rmax * (1.0 + 1e-12) + 1e-15 * np.abs(centers).max(initial=0.0)
+        if cell > 0:
+            keys = np.floor(centers / cell)
+    # Rank-compress each axis, collapsing gaps wider than one cell to two, so
+    # the linear cell index stays below (2n + 1)^3 however far apart the
+    # centers are relative to rmax.
+    cells = np.empty((n, 3), dtype=np.int64)
+    for axis in range(3):
+        values, inverse = np.unique(keys[:, axis], return_inverse=True)
+        steps = np.where(np.diff(values) == 1, 1, 2)
+        cells[:, axis] = np.concatenate(([1], 1 + np.cumsum(steps)))[inverse]
+    dims = cells.max(axis=0, initial=0) + 2
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    linear = cells @ strides
+    order = np.argsort(linear, kind="stable")
+    sorted_linear = linear[order]
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=3))) @ strides
+    position = np.empty(n, dtype=np.int64)  # of each center in sorted order
+    position[order] = np.arange(n)
+    ia, ib = [], []
+    for shift in shifts[shifts >= 0]:  # own cell first, then the 13 cells after it
+        hi = np.searchsorted(sorted_linear, linear + shift, side="right")
+        if shift == 0:
+            lo = position + 1  # own cell: only centers sorted after this one
+        else:
+            lo = np.searchsorted(sorted_linear, linear + shift, side="left")
+        counts = hi - lo
+        a = np.repeat(np.arange(n), counts)
+        # The k-th match of a run sits at sorted position lo + k.
+        b = order[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        keep = in_window[a] | in_window[b]
+        a, b = a[keep], b[keep]
         if rmax is not None:
-            d = np.linalg.norm(centers[ii] - centers[jj], axis=1)
-            sel = d <= rmax
-            ii, jj = ii[sel], jj[sel]
-        return ii.astype(np.int64), jj.astype(np.int64)
-    cell = float(rmax)
-    keys = np.floor(centers / cell).astype(np.int64)
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for i, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(i)
-    offsets3 = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-    ]
-    for key, members in buckets.items():
-        for off in offsets3:
-            other = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-            if other < key or other not in buckets:
-                continue
-            cand = buckets[other]
-            for i in members:
-                for j in cand:
-                    if other == key and j <= i:
-                        continue
-                    a, b = (i, j) if i < j else (j, i)
-                    if not (in_window[a] or in_window[b]):
-                        continue
-                    ia_list.append(a)
-                    ib_list.append(b)
-    ia = np.asarray(ia_list, dtype=np.int64)
-    ib = np.asarray(ib_list, dtype=np.int64)
-    if len(ia):
-        order = np.lexsort((ib, ia))
-        ia, ib = ia[order], ib[order]
-        d = np.linalg.norm(centers[ia] - centers[ib], axis=1)
-        sel = d <= rmax
-        ia, ib = ia[sel], ib[sel]
-    return ia, ib
+            near = np.linalg.norm(centers[a] - centers[b], axis=1) <= rmax
+            a, b = a[near], b[near]
+        ia.append(a)
+        ib.append(b)
+    ia, ib = np.concatenate(ia), np.concatenate(ib)
+    order = np.lexsort((ib, ia))
+    return ia[order], ib[order]
 
 
-def _pair_arrays(fibers, config: KConfig, window: Window | None, rmax, bucketed):
+def _pair_arrays(fibers, config: KConfig, window: Window | None, rmax):
     """Center distances and centered-shape distances for candidate unordered
-    pairs. Returns (centers, in_window, ia, ib, center_dist, shape_dist)."""
-    centers = _centers(fibers, config.center_kind)
+    pairs. Returns (in_window, ia, ib, center_dist, shape_dist)."""
+    centers, pos, tan, offsets = _center_and_pack(
+        fibers, config.center_kind, config.resolved_spacing
+    )
     if window is None:
         in_window = np.ones(len(fibers), dtype=bool)
     else:
-        in_window = window.contains(centers) if len(fibers) else np.zeros(0, bool)
-    ia, ib = _candidate_pairs(centers, in_window, rmax, bucketed)
+        in_window = window.contains(centers)
+    ia, ib = _candidate_pairs(centers, in_window, rmax)
     if len(ia) == 0:
-        return centers, in_window, ia, ib, np.empty(0), np.empty(0)
-    pos, tan, offsets = _pack_currents(fibers, config.center_kind, config.resolved_spacing)
+        return in_window, ia, ib, np.empty(0), np.empty(0)
     p, sigma = config.kernel.p, config.kernel.sigma
     norms_sq = backends.self_norms_sq(pos, tan, offsets, p, sigma)
     ips = backends.pair_inner_products(pos, tan, offsets, ia, ib, p, sigma)
@@ -230,7 +236,7 @@ def _pair_arrays(fibers, config: KConfig, window: Window | None, rmax, bucketed)
     d_sq = np.maximum(0.0, norms_sq[ia] + norms_sq[ib] - 2.0 * ips)
     shape_dist = np.sqrt(d_sq)
     center_dist = np.linalg.norm(centers[ia] - centers[ib], axis=1)
-    return centers, in_window, ia, ib, center_dist, shape_dist
+    return in_window, ia, ib, center_dist, shape_dist
 
 
 def pair_distances(
@@ -239,7 +245,6 @@ def pair_distances(
     window: Window | None,
     *,
     max_center_distance: float | None | str = "auto",
-    bucketed: bool = True,
 ) -> list[tuple[float, float, tuple[str, str]]]:
     """Ordered pair records (center_distance, shape_distance, (id_a, id_b)).
 
@@ -253,7 +258,7 @@ def pair_distances(
         rmax = float(config.t_grid[-1])
     else:
         rmax = max_center_distance
-    _, in_window, ia, ib, cd, sd = _pair_arrays(fibers, config, window, rmax, bucketed)
+    in_window, ia, ib, cd, sd = _pair_arrays(fibers, config, window, rmax)
     records = []
     for n in range(len(ia)):
         i, j = int(ia[n]), int(ib[n])
@@ -265,24 +270,17 @@ def pair_distances(
     return records
 
 
-def k_function(
-    fibers: list[Fiber],
-    config: KConfig,
-    window: Window,
-    *,
-    bucketed: bool = True,
-) -> KResult:
+def k_function(fibers: list[Fiber], config: KConfig, window: Window) -> KResult:
     """Estimate the two-parameter K-function on the configured (t, s) grid.
 
     First-element fibers need a center in the window; neighbors range over
     the full input (no edge correction: supply an inset window).
     """
-    centers = _centers(fibers, config.center_kind)
-    n_in = int(window.contains(centers).sum()) if len(fibers) else 0
+    rmax = float(config.t_grid[-1])
+    in_window, ia, ib, cd, sd = _pair_arrays(fibers, config, window, rmax)
+    n_in = int(in_window.sum())
     if n_in == 0:
         raise EmptyWindowError("no fiber center inside the observation window")
-    rmax = float(config.t_grid[-1])
-    _, in_window, ia, ib, cd, sd = _pair_arrays(fibers, config, window, rmax, bucketed)
     t_grid, s_grid = config.t_grid, config.s_grid
     counts = np.zeros((len(t_grid) + 1, len(s_grid) + 1), dtype=np.int64)
     if len(ia):
@@ -322,7 +320,9 @@ def inset_window(
 def saturation_bound(fibers: list[Fiber], config: KConfig) -> float:
     """An s value at which the shape indicator always fires: the a.s. bound
     sqrt(2 (||a||^2 + ||b||^2)) maximized over pairs (top two norms)."""
-    pos, tan, offsets = _pack_currents(fibers, config.center_kind, config.resolved_spacing)
+    if not fibers:
+        raise ValueError("saturation_bound needs at least one fiber")
+    _, pos, tan, offsets = _center_and_pack(fibers, config.center_kind, config.resolved_spacing)
     norms_sq = backends.self_norms_sq(pos, tan, offsets, config.kernel.p, config.kernel.sigma)
     if len(norms_sq) < 2:
         top = np.concatenate([norms_sq, norms_sq])

@@ -52,6 +52,18 @@ def perturbed_smooth_fiber(base, rng, amp=3.0, length=40.0):
     return center(Fiber(base.id + "p", pts), CenterFunctionKind.MASS_CENTER).fiber
 
 
+def all_pairs_reference(centers, in_window, rmax):
+    """Brute-force stand-in for ``fiberk.kfunction._candidate_pairs``: every
+    pair i < j, then the window filter, then the center-distance filter."""
+    ii, jj = np.triu_indices(len(centers), k=1)
+    keep = in_window[ii] | in_window[jj]
+    ii, jj = ii[keep], jj[keep]
+    if rmax is not None:
+        sel = np.linalg.norm(centers[ii] - centers[jj], axis=1) <= rmax
+        ii, jj = ii[sel], jj[sel]
+    return ii.astype(np.int64), jj.astype(np.int64)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -4,6 +4,8 @@ Each test prints a single PASS/FAIL line so the whole gate can be read off a
 ``pytest -s tests/test_acceptance.py`` run.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,10 @@ from fiberk import (
     resample,
     short_line_limit,
 )
+from fiberk import kfunction
 from fiberk.simulate import gen_brownian
 
-from conftest import perturbed_smooth_fiber, smooth_fiber, unit_vector
+from conftest import all_pairs_reference, perturbed_smooth_fiber, smooth_fiber, unit_vector
 
 MASS = CenterFunctionKind.MASS_CENTER
 PAPER = KernelParams(p=2.0, sigma=100.0 / 3.0)
@@ -205,18 +208,18 @@ def test_08_estimator_normalization():
         fibers = make_dataset(SimConfig(process=proc, n_fibers=100, seed=seed))
         window = inset_window(fibers, MASS, 0.13)
         res = k_function(fibers, conf, window)
-        recs = pair_distances(fibers, conf, window, bucketed=False)
+        with mock.patch.object(kfunction, "_candidate_pairs", all_pairs_reference):
+            recs = pair_distances(fibers, conf, window)
+            k_all_pairs = k_function(fibers, conf, window).k
         for i, t in enumerate(conf.t_grid):
             for j, s in enumerate(conf.s_grid):
                 count = sum(1 for cd, sd, _ in recs if cd <= t and sd <= s)
                 scaled = res.k[i, j] * res.n_in_window
                 ok &= abs(scaled - round(scaled)) < 1e-9
                 ok &= int(round(scaled)) == count
-        ok &= pair_distances(fibers, conf, window, bucketed=True) == recs
-        ok &= bool(
-            np.array_equal(res.k, k_function(fibers, conf, window, bucketed=False).k)
-        )
-    report(8, "K*N is an exact integer recount; bucketed == all-pairs", ok)
+        ok &= pair_distances(fibers, conf, window) == recs
+        ok &= bool(np.array_equal(res.k, k_all_pairs))
+    report(8, "K*N is an exact integer recount; cell search == all-pairs", ok)
 
 
 def test_09_clustered_contrast():

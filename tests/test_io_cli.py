@@ -71,6 +71,20 @@ class TestFiberFile:
             read_fibers(p)
 
 
+class TestKcsvFile:
+    def test_short_row_cites_line(self, tmp_path):
+        p = tmp_path / "k.csv"
+        p.write_text("t,s,k\n1,2,0.5\n1,3\n")
+        with pytest.raises(ValueError, match=r"k\.csv:3: expected 't,s,k' values"):
+            read_kcsv(p)
+
+    def test_unparseable_value_cites_line(self, tmp_path):
+        p = tmp_path / "k.csv"
+        p.write_text("t,s,k\n1,2,x\n")
+        with pytest.raises(ValueError, match=r"k\.csv:2: unparseable value"):
+            read_kcsv(p)
+
+
 class TestCliSimulate:
     def test_writes_file(self, tmp_path):
         out = tmp_path / "x1.fib"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberk import (
     CenterFunctionKind,
@@ -20,7 +22,10 @@ from fiberk import (
     pair_distances,
     translate,
 )
-from fiberk.kfunction import saturation_bound
+from fiberk import kfunction
+from fiberk.kfunction import _candidate_pairs, saturation_bound
+
+from conftest import all_pairs_reference
 
 MASS = CenterFunctionKind.MASS_CENTER
 PAPER = KernelParams(p=2.0, sigma=100.0 / 3.0)
@@ -172,13 +177,56 @@ class TestKFunctionProperties:
         k_ori = k_function(fibers, small_config(orientation_invariant=False), w).k
         assert np.all(k_inv >= k_ori)
 
-    def test_bucketed_equals_all_pairs(self):
+    def test_bucketed_equals_all_pairs(self, monkeypatch):
         fibers = _dataset(n=50)
         cfg = small_config(t_grid=(10.0, 40.0), s_grid=(20.0, 200.0))
         w = Window(np.full(3, 13.0), np.full(3, 87.0))
-        k_b = k_function(fibers, cfg, w, bucketed=True).k
-        k_a = k_function(fibers, cfg, w, bucketed=False).k
+        k_b = k_function(fibers, cfg, w).k
+        monkeypatch.setattr(kfunction, "_candidate_pairs", all_pairs_reference)
+        k_a = k_function(fibers, cfg, w).k
         assert np.array_equal(k_b, k_a)
+
+    def test_saturation_bound_needs_a_fiber(self):
+        with pytest.raises(ValueError, match="needs at least one fiber"):
+            saturation_bound([], small_config())
+
+
+def _assert_same_pairs(got, want):
+    assert got[0].dtype == got[1].dtype == np.int64
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@given(
+    n=st.integers(min_value=0, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rmax=st.sampled_from([None, 0.5, 1.0, 7.0]),
+    offset=st.sampled_from([0.0, 1e6, -1e6, 1e12]),
+    layout=st.sampled_from(["uniform", "cell_edges", "one_ulp_off_edges"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_candidate_pairs_match_all_pairs(n, seed, rmax, offset, layout):
+    rng = np.random.default_rng(seed)
+    scale = 1.0 if rmax is None else rmax
+    if layout == "uniform":
+        centers = rng.uniform(-6.0, 6.0, (n, 3)) * scale
+    else:
+        # integer multiples of rmax: many pairs exactly rmax apart
+        centers = rng.integers(-4, 5, (n, 3)) * scale
+    centers = centers + offset
+    if layout == "one_ulp_off_edges":
+        centers = np.nextafter(centers, np.where(rng.random((n, 3)) < 0.5, -np.inf, np.inf))
+    in_window = rng.random(n) < 0.6
+    want = all_pairs_reference(centers, in_window, rmax)
+    _assert_same_pairs(_candidate_pairs(centers, in_window, rmax), want)
+
+
+def test_candidate_pair_found_when_rounding_puts_it_on_a_cell_edge():
+    # 2.0 - (1 - 2^-53) rounds to exactly 1.0, but floor(x / 1.0) puts the
+    # two centers two cells apart.
+    centers = np.array([[2.0, 0.0, 0.0], [np.nextafter(1.0, 0.0), 0.0, 0.0]])
+    in_window = np.ones(2, dtype=bool)
+    assert np.linalg.norm(centers[0] - centers[1]) == 1.0
+    _assert_same_pairs(_candidate_pairs(centers, in_window, 1.0), ([0], [1]))
 
 
 class TestPairDistances:
