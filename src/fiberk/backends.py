@@ -33,12 +33,7 @@ _SHELL_RTOL = 1e-12
 
 def kernel_scalar(d: float, p: float, sigma: float) -> float:
     """Scalar kernel value at center distance ``d``."""
-    if math.isinf(p):
-        if abs(d - sigma) <= _SHELL_RTOL * sigma:
-            return math.exp(-0.5)
-        return 1.0 if d < sigma else 0.0
-    with np.errstate(over="ignore"):
-        return float(np.exp(-0.5 * np.float64(d / sigma) ** p))
+    return float(_kernel_of_dist_numpy(np.float64(d), p, sigma))
 
 
 # ---------------------------------------------------------------------------

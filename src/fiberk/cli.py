@@ -19,11 +19,6 @@ from .fileio import FiberFileError, read_fibers, write_fibers, write_kcsv, _atom
 from .kfunction import EmptyWindowError, KConfig, Window, inset_window, k_function
 from .simulate import ProcessKind, SimConfig, make_dataset
 
-_CENTER_KINDS = {
-    "mass": CenterFunctionKind.MASS_CENTER,
-    "midpoint": CenterFunctionKind.ARCLENGTH_MIDPOINT,
-}
-
 DEFAULT_SIGMA = 100.0 / 3.0
 
 
@@ -92,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=_parse_p, default=2.0)
         p.add_argument("--spacing", type=float, default=None, help="atom spacing (default sigma/20)")
         p.add_argument("--oriented", action="store_true", help="disable orientation minimization")
-        p.add_argument("--center", choices=sorted(_CENTER_KINDS), default="mass")
+        p.add_argument("--center", choices=[k.value for k in CenterFunctionKind], default="mass")
         p.add_argument("--out", required=True, help="output CSV")
 
     kf = sub.add_parser("kfun", help="estimate the two-parameter K-function")
@@ -150,7 +145,7 @@ def _cmd_kfun(args) -> int:
     fibers = _load_fibers(args)
     if fibers is None:
         return 1
-    kind = _CENTER_KINDS[args.center]
+    kind = CenterFunctionKind(args.center)
     if args.segment_length is not None:
         try:
             fibers = [piece for f in fibers for piece in segment(f, args.segment_length)]
@@ -191,12 +186,16 @@ def _cmd_dist(args) -> int:
     fibers = _load_fibers(args)
     if fibers is None:
         return 1
-    kind = _CENTER_KINDS[args.center]
-    params = KernelParams(p=args.p, sigma=args.sigma)
-    spacing = args.spacing if args.spacing is not None else args.sigma / 20.0
-    measure = distance if args.oriented else min_distance
+    kind = CenterFunctionKind(args.center)
     centered = [center(f, kind) for f in fibers]
-    currents = [discretize(c.fiber, spacing) for c in centered]
+    try:
+        params = KernelParams(p=args.p, sigma=args.sigma)
+        spacing = args.spacing if args.spacing is not None else args.sigma / 20.0
+        currents = [discretize(c.fiber, spacing) for c in centered]
+    except ValueError as exc:
+        print(f"fiberk dist: {exc}", file=sys.stderr)
+        return 2
+    measure = distance if args.oriented else min_distance
     centers = np.array([c.original_center for c in centered])
     rows = ["id_a,id_b,center_dist,shape_dist"]
     for i in range(len(fibers)):

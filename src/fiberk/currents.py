@@ -147,6 +147,9 @@ def inner_product(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) 
     (pb, tb), sb, kb = _signed_canonical(b)
     if kb < ka:
         pa, ta, pb, tb = pb, tb, pa, ta
+    elif kb == ka:
+        # Same buffer on both sides: numpy's t @ t.T can differ from t @ t.copy().T.
+        pb, tb = pa, ta
     return sa * sb * backends.inner(pa, ta, pb, tb, params.p, params.sigma)
 
 
@@ -155,16 +158,19 @@ def norm(a: DiscreteCurrent, params: KernelParams) -> float:
     return math.sqrt(max(0.0, inner_product(a, a, params)))
 
 
-def distance(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) -> float:
-    """Currents distance ||a - b|| in the dual RKHS.
+def _shape_distance(na, nb, ab, orientation_invariant: bool):
+    """Elementwise sqrt(max(0, na + nb - 2 ab)) from squared norms and cross
+    inner products; the orientation-minimal distance uses |ab|. The max guards
+    floating-point cancellation for near-identical curves."""
+    if orientation_invariant:
+        ab = abs(ab)
+    return np.sqrt(np.maximum(0.0, na + nb - 2.0 * ab))
 
-    The max(0, .) guards floating-point cancellation for near-identical
-    curves.
-    """
-    na = inner_product(a, a, params)
-    nb = inner_product(b, b, params)
-    ab = inner_product(a, b, params)
-    return math.sqrt(max(0.0, na + nb - 2.0 * ab))
+
+def distance(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) -> float:
+    """Currents distance ||a - b|| in the dual RKHS."""
+    na, nb = inner_product(a, a, params), inner_product(b, b, params)
+    return float(_shape_distance(na, nb, inner_product(a, b, params), False))
 
 
 def min_distance(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) -> float:
@@ -173,12 +179,8 @@ def min_distance(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) -
     Flipping negates every weighted tangent, so the cross term changes sign
     and both candidate distances come from a single inner product.
     """
-    na = inner_product(a, a, params)
-    nb = inner_product(b, b, params)
-    ab = inner_product(a, b, params)
-    d_same = math.sqrt(max(0.0, na + nb - 2.0 * ab))
-    d_flip = math.sqrt(max(0.0, na + nb + 2.0 * ab))
-    return min(d_same, d_flip)
+    na, nb = inner_product(a, a, params), inner_product(b, b, params)
+    return float(_shape_distance(na, nb, inner_product(a, b, params), True))
 
 
 def short_line_limit(x_u, x_v, u, v, params: KernelParams) -> float:

@@ -126,6 +126,18 @@ def resample(fiber: Fiber, spacing: float) -> Fiber:
     return Fiber(fiber.id, out)
 
 
+def _center_point(pts: np.ndarray, kind: CenterFunctionKind) -> np.ndarray:
+    """The center of the polyline ``pts`` under the chosen center function."""
+    if kind is CenterFunctionKind.MASS_CENTER:
+        lens = _seg_lengths(pts)
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        return (mids * lens[:, None]).sum(axis=0) / lens.sum()
+    if kind is CenterFunctionKind.ARCLENGTH_MIDPOINT:
+        cum = _cumlen(pts)
+        return _points_at(pts, cum, 0.5 * cum[-1])
+    raise ValueError(f"unknown center function kind: {kind}")  # pragma: no cover
+
+
 def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     """Center the fiber with the chosen center function.
 
@@ -133,17 +145,8 @@ def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     weighted by segment length, exact for polylines); ``ARCLENGTH_MIDPOINT``
     is the point at half the total arclength.
     """
-    pts = fiber.points
-    if kind is CenterFunctionKind.MASS_CENTER:
-        lens = _seg_lengths(pts)
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        c = (mids * lens[:, None]).sum(axis=0) / lens.sum()
-    elif kind is CenterFunctionKind.ARCLENGTH_MIDPOINT:
-        cum = _cumlen(pts)
-        c = _points_at(pts, cum, 0.5 * cum[-1])
-    else:  # pragma: no cover
-        raise ValueError(f"unknown center function kind: {kind}")
-    return CenteredFiber(original_center=c, fiber=Fiber(fiber.id, pts - c))
+    c = _center_point(fiber.points, kind)
+    return CenteredFiber(original_center=c, fiber=Fiber(fiber.id, fiber.points - c))
 
 
 def translate(fiber: Fiber, v) -> Fiber:

@@ -76,6 +76,8 @@ def read_fibers(path) -> list[Fiber]:
         n_fibers = int(header[2])
     except ValueError:
         raise FiberFileError(f"{path}:1: bad fiber count {header[2]!r}") from None
+    if n_fibers < 0:
+        raise FiberFileError(f"{path}:1: negative fiber count {n_fibers}")
     fibers: list[Fiber] = []
     lineno = 1
     for _ in range(n_fibers):
@@ -92,11 +94,13 @@ def read_fibers(path) -> list[Fiber]:
             n_points = int(parts[2])
         except ValueError:
             raise FiberFileError(f"{path}:{lineno}: bad point count {parts[2]!r}") from None
+        if n_points < 0:
+            raise FiberFileError(f"{path}:{lineno}: negative point count {n_points}")
+        if lineno + n_points > len(lines):
+            raise FiberFileError(f"{path}:{len(lines) + 1}: expected coordinate line, got end of file")
         pts = np.empty((n_points, 3))
         for k in range(n_points):
             lineno += 1
-            if lineno > len(lines):
-                raise FiberFileError(f"{path}:{lineno}: expected coordinate line, got end of file")
             coords = lines[lineno - 1].split()
             if len(coords) != 3:
                 raise FiberFileError(

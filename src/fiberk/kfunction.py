@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .currents import KernelParams, discretize
-from .fiber_core import CenterFunctionKind, Fiber, center
+from .currents import KernelParams, _shape_distance, discretize
+from .fiber_core import CenterFunctionKind, Fiber, _center_point, center
 
 __all__ = [
     "EmptyWindowError",
@@ -118,9 +118,7 @@ class KResult:
 
 
 def _centers(fibers: list[Fiber], kind: CenterFunctionKind) -> np.ndarray:
-    if not fibers:
-        return np.empty((0, 3))
-    return np.array([center(f, kind).original_center for f in fibers])
+    return np.array([_center_point(f.points, kind) for f in fibers]).reshape(-1, 3)
 
 
 def estimate_intensity(
@@ -231,10 +229,7 @@ def _pair_arrays(fibers, config: KConfig, window: Window | None, rmax):
     p, sigma = config.kernel.p, config.kernel.sigma
     norms_sq = backends.self_norms_sq(pos, tan, offsets, p, sigma)
     ips = backends.pair_inner_products(pos, tan, offsets, ia, ib, p, sigma)
-    if config.orientation_invariant:
-        ips = np.abs(ips)
-    d_sq = np.maximum(0.0, norms_sq[ia] + norms_sq[ib] - 2.0 * ips)
-    shape_dist = np.sqrt(d_sq)
+    shape_dist = _shape_distance(norms_sq[ia], norms_sq[ib], ips, config.orientation_invariant)
     center_dist = np.linalg.norm(centers[ia] - centers[ib], axis=1)
     return in_window, ia, ib, center_dist, shape_dist
 

@@ -197,6 +197,14 @@ class TestMinDistance:
         a = discretize(smooth_fiber(rng), 2.0)
         assert min_distance(a, flip(a), PAPER) <= 1e-9 * norm(a, PAPER)
 
+    def test_flip_cancels_exactly(self, rng):
+        # A current and its flip share one canonical listing, so their self
+        # inner products and their orientation-minimal distance are exact.
+        for _ in range(300):
+            a = discretize(smooth_fiber(rng), 2.0)
+            assert inner_product(flip(a), flip(a), PAPER) == inner_product(a, a, PAPER)
+            assert min_distance(a, flip(a), PAPER) == 0.0
+
     def test_not_larger_than_oriented(self, rng):
         for _ in range(50):
             a = discretize(smooth_fiber(rng, fid="a"), 2.0)
@@ -216,7 +224,7 @@ class TestMinDistance:
             a = discretize(smooth_fiber(rng, fid="a"), 2.0)
             b = discretize(smooth_fiber(rng, fid="b"), 2.0)
             explicit = min(distance(a, b, PAPER), distance(a, flip(b), PAPER))
-            assert min_distance(a, b, PAPER) == pytest.approx(explicit, rel=1e-12)
+            assert min_distance(a, b, PAPER) == explicit
 
     def test_pseudometric_triangle_on_orientation_classes(self, rng):
         for _ in range(100):

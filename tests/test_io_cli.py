@@ -52,6 +52,24 @@ class TestFiberFile:
         with pytest.raises(FiberFileError, match=":4"):
             read_fibers(p)
 
+    def test_negative_fiber_count_cites_header(self, tmp_path):
+        p = tmp_path / "f.fib"
+        p.write_text("fiberset v1 -1\n")
+        with pytest.raises(FiberFileError, match=":1: negative fiber count"):
+            read_fibers(p)
+
+    def test_negative_point_count_cites_record(self, tmp_path):
+        p = tmp_path / "f.fib"
+        p.write_text("fiberset v1 1\nfiber a -1\n")
+        with pytest.raises(FiberFileError, match=":2: negative point count"):
+            read_fibers(p)
+
+    def test_huge_point_count_fails_before_allocating(self, tmp_path):
+        p = tmp_path / "f.fib"
+        p.write_text("fiberset v1 1\nfiber a 100000000000\n0.0 0.0 0.0\n")
+        with pytest.raises(FiberFileError, match=":4: expected coordinate line"):
+            read_fibers(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "f.fib"
         p.write_text("not a fiber file\n")
@@ -249,6 +267,16 @@ class TestCliDist:
         assert run(["dist", "--in", str(src), "--out", str(out)]) == 0
         sd = float(out.read_text().splitlines()[1].split(",")[3])
         assert sd == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sigma", "0"], ["--sigma", "inf"], ["--p", "nan"], ["--spacing", "-1"]],
+        ids=" ".join,
+    )
+    def test_invalid_flags_exit_2(self, dataset_file, tmp_path, flags):
+        out = tmp_path / "d.csv"
+        assert run(["dist", "--in", str(dataset_file), "--out", str(out), *flags]) == 2
+        assert not out.exists()
 
     def test_rethresholded_rows_reproduce_kfun_counts(self, dataset_file, tmp_path):
         kout = tmp_path / "k.csv"

@@ -14,6 +14,7 @@ from fiberk import (
     ProcessKind,
     SimConfig,
     Window,
+    center,
     csr_reference,
     estimate_intensity,
     inset_window,
@@ -267,3 +268,12 @@ class TestInsetWindow:
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
             inset_window(_dataset(n=5), MASS, 0.7)
+
+    @pytest.mark.parametrize("kind", list(CenterFunctionKind))
+    def test_uses_the_exact_centers_of_center(self, kind):
+        fibers = _dataset(n=40)
+        centers = np.array([center(f, kind).original_center for f in fibers])
+        lo, hi = centers.min(axis=0), centers.max(axis=0)
+        w = inset_window(fibers, kind, 0.13)
+        assert np.array_equal(w.lower, lo + 0.13 * (hi - lo))
+        assert np.array_equal(w.upper, hi - 0.13 * (hi - lo))
