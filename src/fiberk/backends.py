@@ -48,19 +48,59 @@ def _kernel_of_dist_numpy(d: np.ndarray, p: float, sigma: float) -> np.ndarray:
         return np.exp(-0.5 * (d / sigma) ** p)
 
 
+# Most kernel evaluations in one _block_sums call from pair_inner_numpy: the
+# float64 intermediates of a chunk then take about 2.5 MB.
+_CHUNK_EVALS = 2**16
+
+
+def _block_sums(pa, ta, pb, tb, p, sigma) -> np.ndarray:
+    """Double kernel sums between atom blocks ``(..., ma, 3)`` and
+    ``(..., mb, 3)``, one per leading index."""
+    # x, z, y: the order np.einsum("ijk,ijk->ij") adds them in (numpy 2.4, AVX-512)
+    sq = None
+    for axis in (0, 2, 1):
+        d2 = pa[..., :, None, axis] - pb[..., None, :, axis]
+        d2 *= d2
+        sq = d2 if sq is None else np.add(sq, d2, out=sq)
+    k = _kernel_of_dist_numpy(np.sqrt(sq, out=sq), p, sigma)
+    return np.einsum("...ij,...ij->...", k, ta @ np.swapaxes(tb, -1, -2))
+
+
 def inner_numpy(pos_a, tan_a, pos_b, tan_b, p, sigma) -> float:
-    diff = pos_a[:, None, :] - pos_b[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    k = _kernel_of_dist_numpy(d, p, sigma)
-    return float(np.einsum("ij,ij->", k, tan_a @ tan_b.T))
+    return float(_block_sums(pos_a, tan_a, pos_b, tan_b, p, sigma))
 
 
 def pair_inner_numpy(pos, tan, offsets, ia, ib, p, sigma) -> np.ndarray:
+    """Pair kernel sums in blocks: the pairs are grouped by their exact atom
+    counts ``(ma, mb)``, so nothing is padded, and each group is gathered and
+    summed in chunks of at most ``_CHUNK_EVALS`` kernel evaluations. Pairs
+    ``(i, i)`` form groups of their own that pass one gathered array as both
+    sides, as ``inner`` on one slice does (numpy's ``t @ t.T`` takes another
+    BLAS routine than ``t @ t.copy().T``), so every sum equals ``inner`` on
+    the pair's slices."""
     out = np.empty(len(ia))
-    for n in range(len(ia)):
-        a0, a1 = offsets[ia[n]], offsets[ia[n] + 1]
-        b0, b1 = offsets[ib[n]], offsets[ib[n] + 1]
-        out[n] = inner_numpy(pos[a0:a1], tan[a0:a1], pos[b0:b1], tan[b0:b1], p, sigma)
+    if len(ia) == 0:
+        return out
+    sizes = np.diff(offsets)
+    # one key per group: (ma, mb) and whether the pair is (i, i)
+    key = (sizes[ia] * (sizes.max() + 1) + sizes[ib]) * 2 + (ia == ib)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order])) + 1
+    for group in np.split(order, starts):
+        first = group[0]
+        ma, mb = int(sizes[ia[first]]), int(sizes[ib[first]])
+        same = ia[first] == ib[first]
+        step = max(1, _CHUNK_EVALS // max(1, ma * mb))
+        for c in range(0, len(group), step):
+            n = group[c : c + step]
+            a = offsets[ia[n]][:, None] + np.arange(ma)
+            pa, ta = pos[a], tan[a]
+            if same:
+                pb, tb = pa, ta
+            else:
+                b = offsets[ib[n]][:, None] + np.arange(mb)
+                pb, tb = pos[b], tan[b]
+            out[n] = _block_sums(pa, ta, pb, tb, p, sigma)
     return out
 
 

@@ -20,6 +20,7 @@ from .kfunction import EmptyWindowError, KConfig, Window, inset_window, k_functi
 from .simulate import ProcessKind, SimConfig, make_dataset
 
 DEFAULT_SIGMA = 100.0 / 3.0
+MAX_GRID_POINTS = 10**6
 
 
 def _parse_box(text: str) -> Window:
@@ -44,9 +45,14 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(v) for v in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid value in {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"grid values must be finite in {text!r}")
     if step <= 0 or stop < start or start <= 0:
         raise argparse.ArgumentTypeError("grid needs start > 0, stop >= start, step > 0")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:  # also catches a ratio that overflows to inf
+        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    n = int(math.floor(steps)) + 1
     return start + step * np.arange(n)
 
 
@@ -162,11 +168,10 @@ def _cmd_kfun(args) -> int:
             spacing=args.spacing,
         )
         window = args.window if args.window is not None else inset_window(fibers, kind, args.inset)
+        result = k_function(fibers, config, window)
     except ValueError as exc:
         print(f"fiberk kfun: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = k_function(fibers, config, window)
     except EmptyWindowError as exc:
         print(f"fiberk kfun: {exc}", file=sys.stderr)
         return 3

@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+# Most points resample may give one fiber; a finer spacing raises ValueError
+# instead of allocating without bound.
+MAX_RESAMPLE_POINTS = 10**7
+
+
 class CenterFunctionKind(Enum):
     """Translation-covariant center functions for a fiber."""
 
@@ -118,7 +123,15 @@ def resample(fiber: Fiber, spacing: float) -> Fiber:
     pts = fiber.points
     cum = _cumlen(pts)
     total = cum[-1]
-    n_seg = max(1, math.ceil(total / spacing - 1e-12))
+    # Python floats, so a ratio that overflows is inf without a numpy warning
+    segs = float(total) / float(spacing) - 1e-12
+    if not segs <= MAX_RESAMPLE_POINTS - 1:
+        count = math.ceil(segs) + 1 if math.isfinite(segs) else "infinitely many"
+        raise ValueError(
+            f"fiber {fiber.id}: spacing {spacing:g} would resample it to {count} points,"
+            f" more than {MAX_RESAMPLE_POINTS}"
+        )
+    n_seg = max(1, math.ceil(segs))
     targets = np.linspace(0.0, total, n_seg + 1)
     out = _points_at(pts, cum, targets)
     out[0] = pts[0]

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fiberk import KernelParams, discretize
+from fiberk import arclength, backends, discretize
 from fiberk.backends import (
     HAVE_NUMBA,
     _kernel_of_dist_numpy,
     inner,
     inner_numpy,
     pair_inner_numpy,
+    pair_inner_products,
     kernel_scalar,
     self_norms_sq,
 )
@@ -51,11 +52,77 @@ def _pack(currents):
     return np.ascontiguousarray(pos), np.ascontiguousarray(tan), offsets
 
 
-def test_self_norms_are_each_fibers_inner_product_with_itself(rng):
-    currents = [discretize(smooth_fiber(rng, fid=str(i)), 2.0) for i in range(5)]
-    pos, tan, offsets = _pack(currents)
-    for p in (2.0, math.inf):
-        want = [inner(c.positions, c.tangents, c.positions, c.tangents, p, 10.0) for c in currents]
+# 1 to 40 atoms, with 20 (where a separate copy of a block changes the
+# self-norm's last bits) five times over
+MIXED_ATOM_COUNTS = list(range(1, 41)) + [20] * 4
+
+
+@pytest.fixture
+def mixed(rng):
+    currents = []
+    for i, m in enumerate(MIXED_ATOM_COUNTS):
+        f = smooth_fiber(rng, fid=str(i))
+        currents.append(discretize(f, arclength(f) / m))
+    assert [len(c) for c in currents] == MIXED_ATOM_COUNTS
+    return currents
+
+
+def _loop_pair_inner(pos, tan, offsets, ia, ib, p, sigma):
+    """The per-pair reference: ``inner`` on each pair's slices."""
+    out = []
+    for a, b in zip(ia, ib):
+        a0, a1, b0, b1 = offsets[a], offsets[a + 1], offsets[b], offsets[b + 1]
+        out.append(inner(pos[a0:a1], tan[a0:a1], pos[b0:b1], tan[b0:b1], p, sigma))
+    return np.array(out)
+
+
+PS = [1.0, 2.0, 1024.0, math.inf]
+
+
+@pytest.mark.parametrize("p", PS)
+def test_pair_inner_products_equal_the_per_pair_loop_exactly(rng, mixed, p):
+    pos, tan, offsets = _pack(mixed)
+    n = len(mixed)
+    # every ordered pair: i < j, i > j and i == i
+    ia, ib = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    # plus one (20, 20) group larger than a chunk, mixing cross and self pairs
+    twenty = np.flatnonzero(offsets[1:] - offsets[:-1] == 20)
+    extra = 2 * (backends._CHUNK_EVALS // 400) + 7
+    ia = np.concatenate([ia, rng.choice(twenty, extra)])
+    ib = np.concatenate([ib, rng.choice(twenty, extra)])
+    got = pair_inner_products(pos, tan, offsets, ia, ib, p, 100.0 / 3.0)
+    want = _loop_pair_inner(pos, tan, offsets, ia, ib, p, 100.0 / 3.0)
+    assert got.tolist() == want.tolist()
+
+
+def test_pair_inner_products_of_no_pairs(mixed):
+    pos, tan, offsets = _pack(mixed)
+    none = np.array([], dtype=np.int64)
+    got = pair_inner_products(pos, tan, offsets, none, none, 2.0, 10.0)
+    assert got.shape == (0,)
+
+
+@pytest.mark.parametrize("p", PS)
+def test_inner_matches_a_scalar_reference(mixed, p):
+    # Plain Python sums, independent of how the block function orders its work
+    def reference(a, b, sigma):
+        terms = []
+        for x, u in zip(a.positions.tolist(), a.tangents.tolist()):
+            for y, v in zip(b.positions.tolist(), b.tangents.tolist()):
+                k = kernel_scalar(math.dist(x, y), p, sigma)
+                terms.append(k * (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]))
+        return math.fsum(terms)
+
+    for i, j in [(0, 0), (0, 39), (19, 19), (19, 40), (39, 7), (25, 31)]:
+        a, b = mixed[i], mixed[j]
+        got = inner(a.positions, a.tangents, b.positions, b.tangents, p, 10.0)
+        assert got == pytest.approx(reference(a, b, 10.0), rel=1e-12, abs=1e-12)
+
+
+def test_self_norms_are_each_fibers_inner_product_with_itself(mixed):
+    pos, tan, offsets = _pack(mixed)
+    for p in PS:
+        want = [inner(c.positions, c.tangents, c.positions, c.tangents, p, 10.0) for c in mixed]
         assert self_norms_sq(pos, tan, offsets, p, 10.0).tolist() == want
 
 
@@ -71,13 +138,12 @@ class TestNumbaAgreesWithNumpy:
         want = inner_numpy(a.positions, a.tangents, b.positions, b.tangents, p, 10.0)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_batch_functions(self, rng):
+    def test_batch_functions(self, mixed):
         from fiberk.backends import _pair_inner_nb
 
-        currents = [discretize(smooth_fiber(rng, fid=str(i)), 2.0) for i in range(8)]
-        pos, tan, offsets = _pack(currents)
+        pos, tan, offsets = _pack(mixed)
         # k=0 keeps the (i, i) pairs, which are the self norms
-        ia, ib = np.triu_indices(8, k=0)
+        ia, ib = np.triu_indices(len(mixed), k=0)
         ia, ib = ia.astype(np.int64), ib.astype(np.int64)
         args = (pos, tan, offsets, ia, ib, 2.0, 100.0 / 3.0)
         assert np.allclose(_pair_inner_nb(*args), pair_inner_numpy(*args), rtol=1e-12)

@@ -10,6 +10,7 @@ from fiberk import (
     Fiber,
     arclength,
     center,
+    fiber_core,
     resample,
     reverse,
     segment,
@@ -81,6 +82,17 @@ class TestResample:
     def test_invalid_spacing(self):
         with pytest.raises(ValueError):
             resample(straight(), 0.0)
+
+    @pytest.mark.parametrize("spacing", [1e-12, 5e-324])
+    def test_too_fine_spacing_fails_before_allocating(self, spacing):
+        with pytest.raises(ValueError, match=r"fiber line: .* points, more than 10000000"):
+            resample(Fiber("line", [[0, 0, 0], [40, 0, 0]]), spacing)
+
+    def test_point_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(fiber_core, "MAX_RESAMPLE_POINTS", 5)
+        assert len(resample(straight(40.0), 10.0).points) == 5
+        with pytest.raises(ValueError, match="to 6 points, more than 5"):
+            resample(straight(40.0), 9.9)
 
     def test_output_lies_on_input_polyline(self, rng):
         f = random_polyline(rng, n_pts=30)

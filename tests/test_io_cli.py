@@ -185,6 +185,21 @@ class TestCliKfun:
         assert code == 3
         assert not (tmp_path / "k.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["1:inf:1", "1:1e12:1"])
+    def test_unbounded_grid_exit_2(self, dataset_file, tmp_path, grid, capsys):
+        out = tmp_path / "k.csv"
+        argv = ["kfun", "--in", str(dataset_file), "--inset", "0.13", "--t-grid", grid]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "--t-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_fine_spacing_exit_2(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        argv = ["kfun", "--in", str(dataset_file), "--inset", "0.13", "--spacing", "1e-12"]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "more than 10000000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_and_inset_exclusive(self, dataset_file, tmp_path):
         code = run(
             [
@@ -270,7 +285,10 @@ class TestCliDist:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--sigma", "0"], ["--sigma", "inf"], ["--p", "nan"], ["--spacing", "-1"]],
+        [
+            ["--sigma", "0"], ["--sigma", "inf"], ["--p", "nan"], ["--spacing", "-1"],
+            ["--spacing", "1e-12"],
+        ],
         ids=" ".join,
     )
     def test_invalid_flags_exit_2(self, dataset_file, tmp_path, flags):
