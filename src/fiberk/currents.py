@@ -74,9 +74,9 @@ class DiscreteCurrent:
             raise ValueError("positions and tangents must be matching (n, 3) arrays")
         if pos.shape[0] < 1:
             raise ValueError("a discrete current needs at least 1 atom")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(tan))):
+        if not (np.isfinite(pos).all() and np.isfinite(tan).all()):
             raise ValueError("atom coordinates must be finite")
-        if np.any(np.einsum("ij,ij->i", tan, tan) == 0.0):
+        if not np.einsum("ij,ij->i", tan, tan).all():
             raise ValueError("weighted tangents must be nonzero")
         pos.setflags(write=False)
         tan.setflags(write=False)
@@ -111,7 +111,7 @@ def discretize(fiber: Fiber, spacing: float) -> DiscreteCurrent:
     rs = resample(fiber, spacing)
     pts = rs.points
     positions = 0.5 * (pts[:-1] + pts[1:])
-    tangents = np.diff(pts, axis=0)
+    tangents = pts[1:] - pts[:-1]
     return DiscreteCurrent(positions, tangents, fiber.id)
 
 

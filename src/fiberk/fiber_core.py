@@ -28,6 +28,8 @@ __all__ = [
 # Most points resample may give one fiber; a finer spacing raises ValueError
 # instead of allocating without bound.
 MAX_RESAMPLE_POINTS = 10**7
+# Most pieces segment may cut one fiber into.
+MAX_SEGMENT_PIECES = MAX_RESAMPLE_POINTS
 
 
 class CenterFunctionKind(Enum):
@@ -43,10 +45,10 @@ def _validated_points(points) -> np.ndarray:
         raise ValueError("fiber points must be an (n, 3) array")
     if pts.shape[0] < 2:
         raise ValueError("a fiber needs at least 2 points")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("fiber coordinates must be finite")
-    seg = np.diff(pts, axis=0)
-    if np.any(np.einsum("ij,ij->i", seg, seg) == 0.0):
+    seg = pts[1:] - pts[:-1]
+    if not np.einsum("ij,ij->i", seg, seg).all():
         raise ValueError("consecutive fiber points must be distinct")
     return pts
 
@@ -84,14 +86,16 @@ class CenteredFiber:
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.original_center, dtype=np.float64)
-        if c.shape != (3,) or not np.all(np.isfinite(c)):
+        if c.shape != (3,) or not np.isfinite(c).all():
             raise ValueError("center must be a finite 3-vector")
         c.setflags(write=False)
         object.__setattr__(self, "original_center", c)
 
 
 def _seg_lengths(pts: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    # np.linalg.norm(d, axis=1) for real d, without its wrapper
+    d = pts[1:] - pts[:-1]
+    return np.sqrt(np.add.reduce(d * d, axis=1))
 
 
 def _cumlen(pts: np.ndarray) -> np.ndarray:
@@ -104,7 +108,10 @@ def _cumlen(pts: np.ndarray) -> np.ndarray:
 def _points_at(pts: np.ndarray, cum: np.ndarray, s) -> np.ndarray:
     """Interpolate positions at arclength(s) ``s`` along the polyline."""
     s = np.asarray(s, dtype=np.float64)
-    return np.stack([np.interp(s, cum, pts[:, k]) for k in range(3)], axis=-1)
+    out = np.empty(s.shape + (3,))
+    for k in range(3):
+        out[..., k] = np.interp(s, cum, pts[:, k])
+    return out
 
 
 def arclength(fiber: Fiber) -> float:
@@ -185,17 +192,25 @@ def segment(fiber: Fiber, max_length: float) -> list[Fiber]:
     pts = fiber.points
     cum = _cumlen(pts)
     total = cum[-1]
-    n = max(1, math.ceil(total / max_length - 1e-9))
+    # Python floats, so a ratio that overflows is inf without a numpy warning
+    ratio = float(total) / float(max_length) - 1e-9
+    if not ratio <= MAX_SEGMENT_PIECES:
+        count = math.ceil(ratio) if math.isfinite(ratio) else "infinitely many"
+        raise ValueError(
+            f"fiber {fiber.id}: max_length {max_length:g} would cut it into {count} pieces,"
+            f" more than {MAX_SEGMENT_PIECES}"
+        )
+    n = max(1, math.ceil(ratio))
     if n == 1:
         return [Fiber(f"{fiber.id}.0", pts)]
     eps = 1e-9 * total
-    pieces = []
-    for k in range(n):
-        s0 = k * max_length
-        s1 = total if k == n - 1 else (k + 1) * max_length
-        inner = pts[(cum > s0 + eps) & (cum < s1 - eps)]
-        piece = np.vstack(
-            [_points_at(pts, cum, s0)[None, :], inner, _points_at(pts, cum, s1)[None, :]]
-        )
-        pieces.append(Fiber(f"{fiber.id}.{k}", piece))
-    return pieces
+    cuts = np.append(np.arange(n) * max_length, total)
+    ends = _points_at(pts, cum, cuts)
+    # cum is nondecreasing, so the vertices strictly inside (s0 + eps, s1 - eps)
+    # are one contiguous range
+    first = np.searchsorted(cum, cuts[:-1] + eps, side="right")
+    stop = np.searchsorted(cum, cuts[1:] - eps, side="left")
+    return [
+        Fiber(f"{fiber.id}.{k}", np.concatenate((ends[k : k + 1], pts[a:b], ends[k + 1 : k + 2])))
+        for k, (a, b) in enumerate(zip(first.tolist(), stop.tolist()))
+    ]

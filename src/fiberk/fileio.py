@@ -13,8 +13,10 @@ values at 17 significant digits.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
+from typing import NoReturn
 
 import numpy as np
 
@@ -52,6 +54,8 @@ def write_fibers(fibers: list[Fiber], path) -> None:
     """Write a fiber file; byte-deterministic for identical input."""
     lines = [f"{_HEADER_MAGIC} {_VERSION} {len(fibers)}"]
     for f in fibers:
+        if not f.id:
+            raise ValueError("fiber id is empty")
         if any(ch.isspace() for ch in f.id):
             raise ValueError(f"fiber id {f.id!r} contains whitespace")
         lines.append(f"fiber {f.id} {len(f.points)}")
@@ -61,6 +65,36 @@ def write_fibers(fibers: list[Fiber], path) -> None:
         _atomic_write(path, "\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write fiber file {path}: {exc}") from exc
+
+
+def _parse_block(path, lines, lineno: int, n_points: int) -> np.ndarray:
+    """The ``n_points`` coordinate lines after line ``lineno`` (1-based) as an
+    (n_points, 3) array, parsed in one step; a malformed block is walked line
+    by line to report its first bad line."""
+    block = lines[lineno : lineno + n_points]
+    try:
+        pts = np.array(
+            [[float(x), float(y), float(z)] for x, y, z in map(str.split, block)]
+        ).reshape(n_points, 3)
+        if np.isfinite(pts).all():
+            return pts
+    except ValueError:
+        pass
+    _raise_first_bad_line(path, block, lineno + 1)
+
+
+def _raise_first_bad_line(path, block, first: int) -> NoReturn:
+    for lineno, line in enumerate(block, start=first):
+        coords = line.split()
+        if len(coords) != 3:
+            raise FiberFileError(f"{path}:{lineno}: expected 3 coordinates, got {line!r}")
+        try:
+            values = [float(c) for c in coords]
+        except ValueError:
+            raise FiberFileError(f"{path}:{lineno}: unparseable coordinate in {line!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise FiberFileError(f"{path}:{lineno}: non-finite coordinate")
+    raise AssertionError("a block that failed to parse has no bad line")  # pragma: no cover
 
 
 def read_fibers(path) -> list[Fiber]:
@@ -98,22 +132,8 @@ def read_fibers(path) -> list[Fiber]:
             raise FiberFileError(f"{path}:{lineno}: negative point count {n_points}")
         if lineno + n_points > len(lines):
             raise FiberFileError(f"{path}:{len(lines) + 1}: expected coordinate line, got end of file")
-        pts = np.empty((n_points, 3))
-        for k in range(n_points):
-            lineno += 1
-            coords = lines[lineno - 1].split()
-            if len(coords) != 3:
-                raise FiberFileError(
-                    f"{path}:{lineno}: expected 3 coordinates, got {lines[lineno - 1]!r}"
-                )
-            try:
-                pts[k] = [float(c) for c in coords]
-            except ValueError:
-                raise FiberFileError(
-                    f"{path}:{lineno}: unparseable coordinate in {lines[lineno - 1]!r}"
-                ) from None
-            if not np.all(np.isfinite(pts[k])):
-                raise FiberFileError(f"{path}:{lineno}: non-finite coordinate")
+        pts = _parse_block(path, lines, lineno, n_points)
+        lineno += n_points
         try:
             fibers.append(Fiber(fid, pts))
         except ValueError as exc:

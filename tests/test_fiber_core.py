@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 from fiberk import (
     CenterFunctionKind,
     Fiber,
+    ProcessKind,
+    SimConfig,
     arclength,
     center,
     fiber_core,
+    make_dataset,
     resample,
     reverse,
     segment,
@@ -18,6 +22,7 @@ from fiberk import (
 )
 
 from conftest import random_polyline
+from reference_impls import segment_by_piece
 
 MASS = CenterFunctionKind.MASS_CENTER
 MID = CenterFunctionKind.ARCLENGTH_MIDPOINT
@@ -25,6 +30,13 @@ MID = CenterFunctionKind.ARCLENGTH_MIDPOINT
 
 def straight(length=40.0, fid="line"):
     return Fiber(fid, [[0, 0, 0], [length, 0, 0]])
+
+
+def assert_same_fibers(got, want):
+    assert [f.id for f in got] == [f.id for f in want]
+    for g, w in zip(got, want):
+        assert g.points.shape == w.points.shape
+        assert g.points.tobytes() == w.points.tobytes()
 
 
 class TestFiberValidation:
@@ -188,6 +200,49 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment(straight(), -1.0)
 
+    @pytest.mark.parametrize("max_length", [1e-12, 5e-324])
+    def test_too_many_pieces_fails_before_allocating(self, max_length):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"fiber line: .* pieces, more than 10000000"):
+                segment(straight(40.0), max_length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_piece_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(fiber_core, "MAX_SEGMENT_PIECES", 4)
+        assert len(segment(straight(40.0), 10.0)) == 4
+        with pytest.raises(ValueError, match="into 5 pieces, more than 4"):
+            segment(straight(40.0), 9.9)
+
+    def test_matches_per_piece_reference_on_simulated_fibers(self):
+        fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=20, seed=5))
+        for f in fibers:
+            for max_length in (4.0, 7.5, 40.0, 1e3):
+                assert_same_fibers(segment(f, max_length), segment_by_piece(f, max_length))
+
+    def test_matches_per_piece_reference_with_cuts_on_the_tolerance(self):
+        # vertices at arclengths 0, 1, ..., 8; a cut at j -+ 1e-9 * total puts
+        # the vertex at exactly s0 + eps or s1 - eps for most (j, k)
+        f = Fiber("x", np.column_stack([np.arange(9.0), np.zeros(9), np.zeros(9)]))
+        eps = 1e-9 * 8.0
+        hits = 0
+        for j in range(1, 8):
+            for k in range(1, 5):
+                for max_length in ((j - eps) / k, (j + eps) / k):
+                    hits += k * max_length + eps == j or k * max_length - eps == j
+                    assert_same_fibers(segment(f, max_length), segment_by_piece(f, max_length))
+        assert hits > 20
+
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-9, 1.0 - 1e-10, 1.0 - 1e-9, 1.0 - 2e-9, 2.0])
+    def test_matches_per_piece_reference_near_total_length(self, rng, factor):
+        f = random_polyline(rng, n_pts=15)
+        for divisor in (1, 2, 3, 7):
+            max_length = arclength(f) * factor / divisor
+            assert_same_fibers(segment(f, max_length), segment_by_piece(f, max_length))
+
 
 @st.composite
 def polylines(draw):
@@ -221,3 +276,26 @@ def test_property_segmentation_conservation(fiber, max_length):
     pieces = segment(fiber, max_length)
     assert len(pieces) == max(1, math.ceil(total / max_length - 1e-9))
     assert sum(arclength(p) for p in pieces) == pytest.approx(total, abs=1e-9 * max(total, 1))
+
+
+@given(polylines(), st.floats(min_value=0.1, max_value=100.0))
+@settings(max_examples=100, deadline=None)
+def test_property_segment_matches_per_piece_reference(fiber, max_length):
+    assert_same_fibers(segment(fiber, max_length), segment_by_piece(fiber, max_length))
+
+
+@given(
+    polylines(),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([-2e-9, -1e-9, -5e-10, -1e-16, 0.0, 1e-16, 5e-10, 1e-9, 2e-9]),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_segment_cut_near_a_vertex_matches_reference(fiber, k, offset, data):
+    # cut k falls within 2e-9 * total of vertex j, on both sides of the 1e-9
+    # tolerance that decides whether the vertex joins a piece
+    seg = np.linalg.norm(np.diff(fiber.points, axis=0), axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    j = data.draw(st.integers(min_value=1, max_value=len(cum) - 1))
+    max_length = (cum[j] + offset * cum[-1]) / k
+    assert_same_fibers(segment(fiber, max_length), segment_by_piece(fiber, max_length))

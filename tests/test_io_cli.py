@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fiberk import (
     Fiber,
@@ -12,6 +14,8 @@ from fiberk import (
     write_fibers,
 )
 from fiberk.cli import main
+
+from reference_impls import read_fibers_by_line
 
 
 def run(argv):
@@ -87,6 +91,125 @@ class TestFiberFile:
         p.write_text("fiberset v1 1\nfiber a 1\n0.0 0.0 0.0\n")
         with pytest.raises(FiberFileError):
             read_fibers(p)
+
+
+    def test_empty_id_rejected_on_write(self, tmp_path):
+        p = tmp_path / "f.fib"
+        with pytest.raises(ValueError, match="fiber id is empty"):
+            write_fibers([Fiber("", [[0, 0, 0], [1, 0, 0]])], p)
+        assert not p.exists()
+
+    def test_read_then_write_reproduces_the_bytes(self, tmp_path):
+        fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=20, seed=4))
+        a, b = tmp_path / "a.fib", tmp_path / "b.fib"
+        write_fibers(fibers, a)
+        write_fibers(read_fibers(a), b)
+        assert a.read_bytes() == b.read_bytes()
+
+
+def parse_outcome(read, path):
+    """What a parser makes of ``path``: the fibers (ids, shapes and exact
+    bytes) or the FiberFileError message."""
+    try:
+        return [(f.id, f.points.shape, f.points.tobytes()) for f in read(path)]
+    except FiberFileError as exc:
+        return f"FiberFileError: {exc}"
+
+
+_VALID = "fiberset v1 2\nfiber a 3\n0 0 0\n1 0 0\n1 1 0\nfiber b 2\n5 5 5\n6.5 5 5\n"
+
+# Malformed or unusual variants of _VALID; each must parse to the same fibers,
+# or fail with the same message, as the line-by-line parser.
+_CORPUS = {
+    "valid": _VALID,
+    "truncated mid-block": _VALID[: _VALID.index("1 1 0")],
+    "blank coordinate line": _VALID.replace("1 0 0\n", "\n"),
+    "two tokens": _VALID.replace("1 0 0", "1 0"),
+    "four tokens": _VALID.replace("1 0 0", "1 0 0 0"),
+    "nan": _VALID.replace("1 0 0", "1 nan 0"),
+    "NaN in the second fiber": _VALID.replace("6.5 5 5", "6.5 NaN 5"),
+    "inf": _VALID.replace("1 0 0", "inf 0 0"),
+    "-Infinity": _VALID.replace("1 0 0", "1 0 -Infinity"),
+    "overflow to inf": _VALID.replace("1 0 0", "1e999 0 0"),
+    "underscore digits": _VALID.replace("1 0 0", "1_0 0 0"),
+    "hex float": _VALID.replace("1 0 0", "0x1p3 0 0"),
+    "no-break space": _VALID.replace("1 0 0", "1\u00a00 0"),
+    "em space": _VALID.replace("1 0 0", "1\u20030\u20030"),
+    "Arabic-Indic digit": _VALID.replace("1 0 0", "\u0661 0 0"),
+    "tabs and padding": _VALID.replace("1 0 0", "  1\t0   0  "),
+    "word": _VALID.replace("1 0 0", "one 0 0"),
+    "non-finite before a bad token": _VALID.replace("1 0 0\n1 1 0", "nan 0 0\nx 1 0"),
+    "bad token before a non-finite": _VALID.replace("1 0 0\n1 1 0", "x 0 0\nnan 1 0"),
+    "record inside a block": _VALID.replace("fiber a 3", "fiber a 4"),
+    "zero points": "fiberset v1 1\nfiber a 0\n",
+    "one point": "fiberset v1 1\nfiber a 1\n0 0 0\n",
+    "repeated point": _VALID.replace("1 0 0\n1 1 0", "1 0 0\n1 0 0"),
+    "underflow to a repeated point": _VALID.replace("0 0 0\n1 0 0", "0 0 0\n1e-400 0 0"),
+    "trailing content": _VALID + "extra\n",
+    "trailing blank line": _VALID + "\n",
+    "negative fiber count": "fiberset v1 -2\n",
+    "negative point count": _VALID.replace("fiber b 2", "fiber b -2"),
+    "CRLF endings": _VALID.replace("\n", "\r\n"),
+    "CR endings": _VALID.replace("\n", "\r"),
+    "line separator inside a line": _VALID.replace("1 0 0", "1 0\u2028 0"),
+    "no final newline": _VALID[:-1],
+    "empty file": "",
+}
+
+
+@pytest.mark.parametrize("text", list(_CORPUS.values()), ids=list(_CORPUS))
+def test_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
+    p = tmp_path / "f.fib"
+    p.write_bytes(text.encode())
+    assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
+
+
+def test_read_fibers_reports_the_first_bad_line(tmp_path):
+    p = tmp_path / "f.fib"
+    p.write_bytes(_CORPUS["non-finite before a bad token"].encode())
+    with pytest.raises(FiberFileError, match=r"f\.fib:4: non-finite coordinate$"):
+        read_fibers(p)
+    p.write_bytes(_CORPUS["NaN in the second fiber"].encode())
+    with pytest.raises(FiberFileError, match=r"f\.fib:8: non-finite coordinate$"):
+        read_fibers(p)
+
+
+_ODD_LINES = [
+    "", "1 2", "1 2 3 4", "nan 0 0", "0 inf 0", "0 0 -inf", "1e999 0 0", "1_0 2 3",
+    "0x1p3 0 0", "1\u00a02 3", "\u0661 2 3", "fiber x 2", "a b c", " 1\t2  3 ", "0 0 0",
+]
+
+
+@st.composite
+def fiber_file_texts(draw):
+    """Mostly well-formed fiber files, with odd coordinate lines, a dropped or
+    extra last line and any of the three line endings."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_fibers = draw(st.integers(min_value=0, max_value=3))
+    lines = [f"fiberset v1 {n_fibers}"]
+    for i in range(n_fibers):
+        n_points = draw(st.integers(min_value=0, max_value=6))
+        lines.append(f"fiber f{i} {n_points}")
+        for _ in range(n_points):
+            if draw(st.integers(min_value=0, max_value=7)) == 0:
+                lines.append(draw(st.sampled_from(_ODD_LINES)))
+            else:
+                lines.append(" ".join(repr(float(v)) for v in 10.0 * rng.standard_normal(3)))
+    tail = draw(st.sampled_from(["as is", "drop last", "extra line"]))
+    if tail == "drop last":
+        lines.pop()
+    elif tail == "extra line":
+        lines.append(draw(st.sampled_from(_ODD_LINES)))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + eol
+
+
+@given(fiber_file_texts())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_property_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
+    p = tmp_path / "f.fib"
+    p.write_bytes(text.encode())
+    assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
 
 
 class TestKcsvFile:
@@ -198,6 +321,13 @@ class TestCliKfun:
         argv = ["kfun", "--in", str(dataset_file), "--inset", "0.13", "--spacing", "1e-12"]
         assert run([*argv, "--out", str(out)]) == 2
         assert "more than 10000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_many_pieces_exit_2(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        argv = ["kfun", "--in", str(dataset_file), "--inset", "0.13", "--segment-length", "1e-12"]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "pieces, more than 10000000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_window_and_inset_exclusive(self, dataset_file, tmp_path):
