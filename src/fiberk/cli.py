@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .currents import KernelParams, discretize, distance, min_distance
-from .fiber_core import CenterFunctionKind, center, segment
+from .fiber_core import MAX_SEGMENT_PIECES, CenterFunctionKind, arclength, center, segment
 from .fileio import FiberFileError, read_fibers, write_fibers, write_kcsv, _atomic_write
 from .kfunction import EmptyWindowError, KConfig, Window, inset_window, k_function
 from .simulate import ProcessKind, SimConfig, make_dataset
@@ -153,6 +153,19 @@ def _cmd_kfun(args) -> int:
         return 1
     kind = CenterFunctionKind(args.center)
     if args.segment_length is not None:
+        if args.segment_length > 0:
+            # Python floats, so a ratio that overflows is inf; segment bounds
+            # each fiber's pieces, this bounds their total
+            total = math.fsum(arclength(f) for f in fibers) / args.segment_length
+            if not total <= MAX_SEGMENT_PIECES:
+                count = math.ceil(total) if math.isfinite(total) else "infinitely many"
+                print(
+                    f"fiberk kfun: --segment-length {args.segment_length:g} would cut the"
+                    f" {len(fibers)} fibers into {count} pieces, more than"
+                    f" {MAX_SEGMENT_PIECES} in total",
+                    file=sys.stderr,
+                )
+                return 2
         try:
             fibers = [piece for f in fibers for piece in segment(f, args.segment_length)]
         except ValueError as exc:
@@ -187,6 +200,13 @@ def _cmd_kfun(args) -> int:
     return 0
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted per RFC 4180 if it holds ``,`` or ``"``."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_dist(args) -> int:
     fibers = _load_fibers(args)
     if fibers is None:
@@ -202,12 +222,13 @@ def _cmd_dist(args) -> int:
         return 2
     measure = distance if args.oriented else min_distance
     centers = np.array([c.original_center for c in centered])
+    ids = [_csv_field(f.id) for f in fibers]
     rows = ["id_a,id_b,center_dist,shape_dist"]
     for i in range(len(fibers)):
         for j in range(i + 1, len(fibers)):
             cd = float(np.linalg.norm(centers[i] - centers[j]))
             sd = measure(currents[i], currents[j], params)
-            rows.append(f"{fibers[i].id},{fibers[j].id},{cd:.17g},{sd:.17g}")
+            rows.append(f"{ids[i]},{ids[j]},{cd:.17g},{sd:.17g}")
     try:
         _atomic_write(args.out, "\n".join(rows) + "\n")
     except OSError as exc:

@@ -8,7 +8,8 @@ Fiber file layout (LF line endings, '.' decimal separator):
     ...
 
 K CSV layout: header ``t,s,k`` then one row per grid cell in t-major order,
-values at 17 significant digits.
+values at 17 significant digits. The reader places each row by its ``(t, s)``
+values, so any row order reads back the same.
 """
 
 from __future__ import annotations
@@ -177,5 +178,14 @@ def read_kcsv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s_grid = np.unique(ss)
     if len(ts) != len(t_grid) * len(s_grid):
         raise ValueError(f"{path}: row count does not match grid")
-    k = np.asarray(ks).reshape(len(t_grid), len(s_grid))
-    return t_grid, s_grid, k
+    # each row goes to the cell of its (t, s) values; with the count check,
+    # no repeated cell means every cell is filled exactly once
+    cell = np.searchsorted(t_grid, ts) * len(s_grid) + np.searchsorted(s_grid, ss)
+    order = np.argsort(cell, kind="stable")
+    repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
+    if len(repeats):
+        lineno = int(repeats.min()) + 2
+        raise ValueError(f"{path}:{lineno}: repeated (t, s) cell in {lines[lineno - 1]!r}")
+    k = np.empty(len(ks))
+    k[cell] = ks
+    return t_grid, s_grid, k.reshape(len(t_grid), len(s_grid))

@@ -1,15 +1,16 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fiberk
 from fiberk import arclength, backends, discretize
 from fiberk.backends import (
-    HAVE_NUMBA,
-    _kernel_of_dist_numpy,
+    _kernel_of_dist,
     inner,
-    inner_numpy,
-    pair_inner_numpy,
     pair_inner_products,
     kernel_scalar,
     self_norms_sq,
@@ -36,7 +37,7 @@ class TestKernelScalar:
         shell = math.exp(-0.5)
         for d in (np.nextafter(sigma, 0.0), sigma, np.nextafter(sigma, math.inf)):
             assert kernel_scalar(d, math.inf, sigma) == shell
-            assert _kernel_of_dist_numpy(np.array([d]), math.inf, sigma)[0] == shell
+            assert _kernel_of_dist(np.array([d]), math.inf, sigma)[0] == shell
             one = np.array([[1.0, 0.0, 0.0]])
             assert inner(np.zeros((1, 3)), one, d * one, one, math.inf, sigma) == shell
         assert kernel_scalar(sigma * (1 + 1e-9), math.inf, sigma) == 0.0
@@ -126,24 +127,11 @@ def test_self_norms_are_each_fibers_inner_product_with_itself(mixed):
         assert self_norms_sq(pos, tan, offsets, p, 10.0).tolist() == want
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaAgreesWithNumpy:
-    @pytest.mark.parametrize("p", [2.0, 1.0, 1024.0, math.inf])
-    def test_single_inner(self, rng, p):
-        from fiberk.backends import _inner_nb
-
-        a = discretize(smooth_fiber(rng, fid="a"), 2.0)
-        b = discretize(smooth_fiber(rng, fid="b"), 2.0)
-        got = _inner_nb(a.positions, a.tangents, b.positions, b.tangents, p, 10.0)
-        want = inner_numpy(a.positions, a.tangents, b.positions, b.tangents, p, 10.0)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_batch_functions(self, mixed):
-        from fiberk.backends import _pair_inner_nb
-
-        pos, tan, offsets = _pack(mixed)
-        # k=0 keeps the (i, i) pairs, which are the self norms
-        ia, ib = np.triu_indices(len(mixed), k=0)
-        ia, ib = ia.astype(np.int64), ib.astype(np.int64)
-        args = (pos, tan, offsets, ia, ib, 2.0, 100.0 / 3.0)
-        assert np.allclose(_pair_inner_nb(*args), pair_inner_numpy(*args), rtol=1e-12)
+def test_the_import_ignores_the_removed_backend_variable(monkeypatch):
+    # FIBERK_BACKEND selects nothing, so no value of it may fail the import
+    monkeypatch.setenv("FIBERK_BACKEND", "bogus")
+    monkeypatch.setenv("PYTHONPATH", str(Path(fiberk.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import fiberk.backends"], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -225,6 +228,22 @@ class TestKcsvFile:
         with pytest.raises(ValueError, match=r"k\.csv:2: unparseable value"):
             read_kcsv(p)
 
+    def test_rows_are_placed_by_their_values(self, tmp_path):
+        p = tmp_path / "k.csv"
+        # s-major order: the rows of t = 1 and t = 2 alternate
+        p.write_text("t,s,k\n1,10,0.1\n2,10,0.2\n1,20,0.3\n2,20,0.4\n")
+        t_grid, s_grid, k = read_kcsv(p)
+        assert t_grid.tolist() == [1.0, 2.0]
+        assert s_grid.tolist() == [10.0, 20.0]
+        assert k.tolist() == [[0.1, 0.3], [0.2, 0.4]]
+
+    def test_repeated_cell_cites_line(self, tmp_path):
+        p = tmp_path / "k.csv"
+        # four rows for a 2 x 2 grid, but (1, 10) twice and (1, 20) never
+        p.write_text("t,s,k\n1,10,0.1\n2,10,0.2\n1,10,0.3\n2,20,0.4\n1,30,0.5\n2,30,0.6\n")
+        with pytest.raises(ValueError, match=r"k\.csv:4: repeated \(t, s\) cell"):
+            read_kcsv(p)
+
 
 class TestCliSimulate:
     def test_writes_file(self, tmp_path):
@@ -330,6 +349,33 @@ class TestCliKfun:
         assert "pieces, more than 10000000" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_pieces_in_total_exit_2(self, tmp_path, capsys):
+        # 4,000,000 pieces per fiber is under the per-fiber limit; the
+        # 12,000,000 in total are refused before any piece is built
+        fibers = [Fiber(str(i), [[0.0, i, 0.0], [40.0, i, 0.0]]) for i in range(3)]
+        src = tmp_path / "three.fib"
+        write_fibers(fibers, src)
+        out = tmp_path / "k.csv"
+        argv = ["kfun", "--in", str(src), "--inset", "0.13", "--segment-length", "1e-5"]
+        tracemalloc.start()
+        try:
+            code = run([*argv, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        assert "into 12000000 pieces, more than 10000000 in total" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("length", ["0", "-1", "nan"])
+    def test_nonpositive_segment_length_exit_2(self, dataset_file, tmp_path, length, capsys):
+        out = tmp_path / "k.csv"
+        argv = ["kfun", "--in", str(dataset_file), "--inset", "0.13", "--segment-length", length]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "max_length must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_and_inset_exclusive(self, dataset_file, tmp_path):
         code = run(
             [
@@ -400,6 +446,22 @@ class TestCliDist:
         assert (id_a, id_b) == ("a", "b")
         assert float(cd) == pytest.approx(5.0)
         assert float(sd) == pytest.approx(0.0, abs=1e-9)
+
+    def test_ids_with_comma_or_quote_are_quoted(self, tmp_path):
+        fibers = [
+            Fiber("a,x", [[0, 0, 0], [10, 0, 0]]),
+            Fiber('b"q', [[0, 5, 0], [10, 5, 0]]),
+            Fiber("c", [[0, 9, 0], [10, 9, 0]]),
+        ]
+        src = tmp_path / "ids.fib"
+        write_fibers(fibers, src)
+        out = tmp_path / "d.csv"
+        assert run(["dist", "--in", str(src), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [4] * 4
+        assert [r[:2] for r in rows[1:]] == [["a,x", 'b"q'], ["a,x", "c"], ['b"q', "c"]]
+        assert out.read_text().splitlines()[3].startswith('"b""q",c,')
 
     def test_duplicate_fiber_zero_distance(self, tmp_path):
         fibers = [
