@@ -10,7 +10,7 @@ orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,11 +61,18 @@ class DiracAtom:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteCurrent:
-    """Riemann-sum approximation of a curve's current as Dirac atoms."""
+    """Riemann-sum approximation of a curve's current as Dirac atoms.
+
+    The arrays are read-only, so values derived from them are computed on
+    first use and kept: the canonical listing (``_signed_canonical``) and the
+    self kernel sum per ``(p, sigma)`` (``_self_sum``).
+    """
 
     positions: np.ndarray
     tangents: np.ndarray
     source_id: str = ""
+    _canonical: tuple | None = field(default=None, init=False, repr=False)
+    _self_sums: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pos = np.ascontiguousarray(self.positions, dtype=np.float64)
@@ -129,16 +136,30 @@ def _signed_canonical(current: DiscreteCurrent):
     # same current with opposite sign) keep the byte-wise smaller one and
     # remember the sign. Negation is an exact bit flip, so a current and its
     # flip share one representative and their inner products cancel exactly.
-    fwd = (current.positions, current.tangents)
-    rev = (
-        np.ascontiguousarray(current.positions[::-1]),
-        np.ascontiguousarray(-current.tangents[::-1]),
-    )
-    key_f = (len(current), fwd[0].tobytes(), fwd[1].tobytes())
-    key_r = (len(current), rev[0].tobytes(), rev[1].tobytes())
-    if key_f <= key_r:
-        return fwd, 1.0, key_f
-    return rev, -1.0, key_r
+    if current._canonical is None:
+        fwd = (current.positions, current.tangents)
+        rev = (
+            np.ascontiguousarray(current.positions[::-1]),
+            np.ascontiguousarray(-current.tangents[::-1]),
+        )
+        key_f = (len(current), fwd[0].tobytes(), fwd[1].tobytes())
+        key_r = (len(current), rev[0].tobytes(), rev[1].tobytes())
+        chosen = (fwd, 1.0, key_f) if key_f <= key_r else (rev, -1.0, key_r)
+        object.__setattr__(current, "_canonical", chosen)
+    return current._canonical
+
+
+def _self_sum(current: DiscreteCurrent, params: KernelParams) -> float:
+    """Double kernel sum of the canonical listing with itself, once per
+    ``(p, sigma)``."""
+    if current._self_sums is None:
+        object.__setattr__(current, "_self_sums", {})
+    key = (params.p, params.sigma)
+    if key not in current._self_sums:
+        (pos, tan), _, _ = _signed_canonical(current)
+        # Same buffer on both sides: numpy's t @ t.T can differ from t @ t.copy().T.
+        current._self_sums[key] = backends.inner(pos, tan, pos, tan, params.p, params.sigma)
+    return current._self_sums[key]
 
 
 def inner_product(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) -> float:
@@ -148,8 +169,7 @@ def inner_product(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) 
     if kb < ka:
         pa, ta, pb, tb = pb, tb, pa, ta
     elif kb == ka:
-        # Same buffer on both sides: numpy's t @ t.T can differ from t @ t.copy().T.
-        pb, tb = pa, ta
+        return sa * sb * _self_sum(a, params)
     return sa * sb * backends.inner(pa, ta, pb, tb, params.p, params.sigma)
 
 

@@ -1,17 +1,23 @@
-"""Straightforward reference versions of the fiber-file parser and of
-``segment``, kept as test oracles for the vectorised library code.
+"""Straightforward reference versions of the fiber-file parser, of
+``segment`` and of the currents inner product, kept as test oracles for the
+vectorised or cached library code.
 
 ``read_fibers_by_line`` parses one coordinate line at a time and
 ``segment_by_piece`` interpolates the two cut points of each piece
 separately, with arclengths from ``np.linalg.norm``. The library versions must give bit-identical fibers and, on
 malformed files, the same ``FiberFileError`` message.
+
+``inner_product_per_call`` rebuilds both canonical listings and sums the
+kernel on every call, self sums included; the library keeps both on the
+current and must return the same bits.
 """
 
 import math
 
 import numpy as np
 
-from fiberk import Fiber, FiberFileError
+from fiberk import Fiber, FiberFileError, backends
+from fiberk.currents import _shape_distance
 
 
 def read_fibers_by_line(path) -> list[Fiber]:
@@ -100,3 +106,41 @@ def segment_by_piece(fiber: Fiber, max_length: float) -> list[Fiber]:
         )
         pieces.append(Fiber(f"{fiber.id}.{k}", piece))
     return pieces
+
+
+def signed_canonical_per_call(current):
+    fwd = (current.positions, current.tangents)
+    rev = (
+        np.ascontiguousarray(current.positions[::-1]),
+        np.ascontiguousarray(-current.tangents[::-1]),
+    )
+    key_f = (len(current), fwd[0].tobytes(), fwd[1].tobytes())
+    key_r = (len(current), rev[0].tobytes(), rev[1].tobytes())
+    if key_f <= key_r:
+        return fwd, 1.0, key_f
+    return rev, -1.0, key_r
+
+
+def inner_product_per_call(a, b, params) -> float:
+    (pa, ta), sa, ka = signed_canonical_per_call(a)
+    (pb, tb), sb, kb = signed_canonical_per_call(b)
+    if kb < ka:
+        pa, ta, pb, tb = pb, tb, pa, ta
+    elif kb == ka:
+        pb, tb = pa, ta
+    return sa * sb * backends.inner(pa, ta, pb, tb, params.p, params.sigma)
+
+
+def _distance_per_call(a, b, params, orientation_invariant) -> float:
+    na = inner_product_per_call(a, a, params)
+    nb = inner_product_per_call(b, b, params)
+    ab = inner_product_per_call(a, b, params)
+    return float(_shape_distance(na, nb, ab, orientation_invariant))
+
+
+def distance_per_call(a, b, params) -> float:
+    return _distance_per_call(a, b, params, False)
+
+
+def min_distance_per_call(a, b, params) -> float:
+    return _distance_per_call(a, b, params, True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberk import (
     CenterFunctionKind,
@@ -24,6 +26,7 @@ from fiberk import (
 from fiberk.simulate import gen_brownian
 
 from conftest import smooth_fiber, unit_vector
+from reference_impls import distance_per_call, inner_product_per_call, min_distance_per_call
 
 P2 = KernelParams(p=2.0, sigma=1.0)
 PAPER = KernelParams(p=2.0, sigma=100.0 / 3.0)
@@ -232,6 +235,70 @@ class TestMinDistance:
             assert min_distance(a, c, PAPER) <= (
                 min_distance(a, b, PAPER) + min_distance(b, c, PAPER) + 1e-9
             )
+
+
+class TestCachedSums:
+    """Each current keeps its canonical listing and self sums; every value
+    must equal the per-call oracle that recomputes both."""
+
+    def test_flip_distance_exactly_zero(self, rng):
+        for _ in range(20):
+            a = discretize(smooth_fiber(rng), 2.0)
+            b = flip(a)
+            assert min_distance(a, b, PAPER) == 0.0
+            assert min_distance(b, a, PAPER) == 0.0
+            assert inner_product(a, b, PAPER) == inner_product_per_call(a, b, PAPER)
+            assert distance(a, b, PAPER) == distance_per_call(a, b, PAPER)
+
+    def test_distinct_currents_with_equal_atoms(self, rng):
+        a = discretize(smooth_fiber(rng, fid="a"), 2.0)
+        b = DiscreteCurrent(a.positions.copy(), a.tangents.copy(), "b")
+        assert inner_product(a, b, PAPER) == inner_product_per_call(a, b, PAPER)
+        assert inner_product(b, a, PAPER) == inner_product_per_call(b, a, PAPER)
+        assert norm(b, PAPER) == norm(a, PAPER)
+        assert min_distance(a, b, PAPER) == 0.0
+        assert distance(a, b, PAPER) == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_cold_then_warm(self, rng, p):
+        params = KernelParams(p=p, sigma=PAPER.sigma)
+        a = discretize(smooth_fiber(rng, fid="a"), 2.0)
+        b = discretize(smooth_fiber(rng, fid="b"), 2.0)
+        want = min_distance_per_call(a, b, params), distance_per_call(a, b, params)
+        for _ in range(2):
+            assert (min_distance(a, b, params), distance(a, b, params)) == want
+            assert inner_product(a, a, params) == inner_product_per_call(a, a, params)
+
+    def test_self_sums_kept_per_kernel(self, rng):
+        a = discretize(smooth_fiber(rng), 2.0)
+        wide = KernelParams(p=2.0, sigma=2 * PAPER.sigma)
+        for params in (PAPER, wide, PAPER, wide):
+            assert inner_product(a, a, params) == inner_product_per_call(a, a, params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        partner=st.sampled_from(["other", "copy", "flip"]),
+        warm=st.sampled_from(["", "a", "b", "ab", "ba"]),
+        a_first=st.booleans(),
+        p=st.sampled_from([1.0, 2.0, math.inf]),
+    )
+    def test_symmetric_whichever_warms_first(self, seed, partner, warm, a_first, p):
+        params = KernelParams(p=p, sigma=PAPER.sigma)
+        rng = np.random.default_rng(seed)
+        a = discretize(smooth_fiber(rng, fid="a"), 4.0)
+        if partner == "other":
+            b = discretize(smooth_fiber(rng, fid="b"), 4.0)
+        elif partner == "copy":
+            b = DiscreteCurrent(a.positions.copy(), a.tangents.copy(), "b")
+        else:
+            b = flip(a)
+        want = inner_product_per_call(a, b, params)
+        for name in warm:
+            norm({"a": a, "b": b}[name], params)
+        first, second = (a, b) if a_first else (b, a)
+        assert inner_product(first, second, params) == want
+        assert inner_product(second, first, params) == want
 
 
 class TestShortLineLimit:

@@ -7,10 +7,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fiberk import (
+    CenterFunctionKind,
     Fiber,
     FiberFileError,
+    KernelParams,
     ProcessKind,
     SimConfig,
+    backends,
+    center,
+    cli,
+    discretize,
     make_dataset,
     read_fibers,
     read_kcsv,
@@ -18,7 +24,7 @@ from fiberk import (
 )
 from fiberk.cli import main
 
-from reference_impls import read_fibers_by_line
+from reference_impls import distance_per_call, min_distance_per_call, read_fibers_by_line
 
 
 def run(argv):
@@ -346,7 +352,7 @@ class TestCliKfun:
         out = tmp_path / "k.csv"
         argv = ["kfun", "--in", str(dataset_file), "--inset", "0.13", "--segment-length", "1e-12"]
         assert run([*argv, "--out", str(out)]) == 2
-        assert "pieces, more than 10000000" in capsys.readouterr().err
+        assert "pieces, more than 1000000 in total" in capsys.readouterr().err
         assert not out.exists()
 
     def test_too_many_pieces_in_total_exit_2(self, tmp_path, capsys):
@@ -365,7 +371,22 @@ class TestCliKfun:
             tracemalloc.stop()
         assert code == 2
         assert peak < 2**20
-        assert "into 12000000 pieces, more than 10000000 in total" in capsys.readouterr().err
+        assert "into 12000000 pieces, more than 1000000 in total" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_total_pieces_bounded_by_memory(self, monkeypatch, tmp_path, capsys):
+        # 1,200,000 pieces would take about 1 GB; refused before any cut
+        def no_cut(*args):
+            raise AssertionError("segment called")
+
+        monkeypatch.setattr(cli, "segment", no_cut)
+        fibers = [Fiber(str(i), [[0.0, i, i], [40.0, i, i]]) for i in range(3)]
+        src = tmp_path / "three.fib"
+        write_fibers(fibers, src)
+        out = tmp_path / "k.csv"
+        argv = ["kfun", "--in", str(src), "--inset", "0.13", "--segment-length", "1e-4"]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "into 1200000 pieces, more than 1000000 in total" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("length", ["0", "-1", "nan"])
@@ -429,7 +450,59 @@ class TestCliKfun:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def brownian_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "b12.fib"
+    fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=12, seed=1))
+    write_fibers(fibers, path)
+    return path
+
+
+def _dist_csv_per_call(path, p, oriented) -> bytes:
+    """``fiberk dist`` output rebuilt with the per-call oracle distances."""
+    fibers = read_fibers(path)
+    centered = [center(f, CenterFunctionKind.MASS_CENTER) for f in fibers]
+    params = KernelParams(p=p, sigma=cli.DEFAULT_SIGMA)
+    currents = [discretize(c.fiber, params.sigma / 20.0) for c in centered]
+    measure = distance_per_call if oriented else min_distance_per_call
+    rows = ["id_a,id_b,center_dist,shape_dist"]
+    for i in range(len(fibers)):
+        for j in range(i + 1, len(fibers)):
+            cd = float(np.linalg.norm(centered[i].original_center - centered[j].original_center))
+            sd = measure(currents[i], currents[j], params)
+            rows.append(f"{fibers[i].id},{fibers[j].id},{cd:.17g},{sd:.17g}")
+    return ("\n".join(rows) + "\n").encode()
+
+
 class TestCliDist:
+    @pytest.mark.parametrize("oriented", [False, True], ids=["min", "oriented"])
+    @pytest.mark.parametrize("p", ["1", "2", "inf"])
+    def test_bytes_equal_per_call_oracle(self, brownian_file, tmp_path, p, oriented):
+        out = tmp_path / "d.csv"
+        flags = ["--p", p] + (["--oriented"] if oriented else [])
+        assert run(["dist", "--in", str(brownian_file), "--out", str(out), *flags]) == 0
+        assert out.read_bytes() == _dist_csv_per_call(brownian_file, float(p), oriented)
+
+    def test_one_kernel_sum_per_pair_and_per_fiber(self, monkeypatch, tmp_path):
+        # 10 fibers: 45 pair sums and 10 self sums, in every invocation; a
+        # cache that outlived one call would make the second run cheaper
+        src = tmp_path / "ten.fib"
+        fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=10, seed=2))
+        write_fibers(fibers, src)
+        calls = []
+        real = backends.inner
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(backends, "inner", counting)
+        for out in ("d1.csv", "d2.csv"):
+            calls.clear()
+            assert run(["dist", "--in", str(src), "--out", str(tmp_path / out)]) == 0
+            assert len(calls) == 10 * 9 // 2 + 10
+        assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
     def test_two_fiber_file(self, tmp_path):
         fibers = [
             Fiber("a", [[0, 0, 0], [10, 0, 0]]),
