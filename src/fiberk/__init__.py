@@ -5,104 +5,17 @@ Hilbert space; the two-parameter K-function counts neighboring fibers by
 center distance and shape (currents) distance.
 """
 
-from .fiber_core import (
-    CenteredFiber,
-    CenterFunctionKind,
-    Fiber,
-    arclength,
-    center,
-    resample,
-    reverse,
-    segment,
-    translate,
-)
-from .currents import (
-    DiracAtom,
-    DiscreteCurrent,
-    KernelParams,
-    discretize,
-    distance,
-    flip,
-    inner_product,
-    kernel_eval,
-    min_distance,
-    norm,
-    short_line_limit,
-)
-from .kfunction import (
-    EmptyWindowError,
-    KConfig,
-    KResult,
-    Window,
-    csr_reference,
-    estimate_intensity,
-    inset_window,
-    k_function,
-    pair_distances,
-    saturation_bound,
-)
-from .fileio import (
-    FiberFileError,
-    read_fibers,
-    read_kcsv,
-    write_fibers,
-    write_kcsv,
-)
-from .simulate import (
-    ProcessKind,
-    SimConfig,
-    gen_brownian,
-    gen_clustered_line,
-    gen_line,
-    gen_spiral,
-    make_dataset,
-    sample_centers,
-)
+from . import currents, fiber_core, fileio, kfunction, simulate
+from .fiber_core import *  # noqa: F403
+from .currents import *  # noqa: F403
+from .kfunction import *  # noqa: F403
+from .fileio import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CenteredFiber",
-    "CenterFunctionKind",
-    "Fiber",
-    "arclength",
-    "center",
-    "resample",
-    "reverse",
-    "segment",
-    "translate",
-    "DiracAtom",
-    "DiscreteCurrent",
-    "KernelParams",
-    "discretize",
-    "distance",
-    "flip",
-    "inner_product",
-    "kernel_eval",
-    "min_distance",
-    "norm",
-    "short_line_limit",
-    "EmptyWindowError",
-    "KConfig",
-    "KResult",
-    "Window",
-    "csr_reference",
-    "estimate_intensity",
-    "inset_window",
-    "k_function",
-    "pair_distances",
-    "saturation_bound",
-    "FiberFileError",
-    "read_fibers",
-    "read_kcsv",
-    "write_fibers",
-    "write_kcsv",
-    "ProcessKind",
-    "SimConfig",
-    "gen_brownian",
-    "gen_clustered_line",
-    "gen_line",
-    "gen_spiral",
-    "make_dataset",
-    "sample_centers",
+    name
+    for module in (fiber_core, currents, kfunction, fileio, simulate)
+    for name in module.__all__
 ]

@@ -1,8 +1,9 @@
 """Command-line interface: simulate fiber datasets, estimate the K-function,
 and dump pairwise distances.
 
-Exit codes: 0 success, 1 file errors, 2 invalid flags, 3 empty observation
-window.
+Every command exits 0 on success, 1 on a file error, 2 on an invalid flag
+value and 3 on an empty observation window (``kfun`` only), and reports a
+failure as one line ``fiberk <command>: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -13,10 +14,17 @@ import sys
 
 import numpy as np
 
-from .currents import KernelParams, discretize, distance, min_distance
-from .fiber_core import CenterFunctionKind, arclength, center, segment
+from .currents import KernelParams, distance, min_distance
+from .fiber_core import CenterFunctionKind, arclength, segment
 from .fileio import FiberFileError, read_fibers, write_fibers, write_kcsv, _atomic_write
-from .kfunction import EmptyWindowError, KConfig, Window, inset_window, k_function
+from .kfunction import (
+    EmptyWindowError,
+    KConfig,
+    Window,
+    _centered_currents,
+    inset_window,
+    k_function,
+)
 from .simulate import ProcessKind, SimConfig, make_dataset
 
 DEFAULT_SIGMA = 100.0 / 3.0
@@ -119,43 +127,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    try:
-        config = SimConfig(
-            process=ProcessKind(args.process),
-            n_fibers=args.n,
-            fiber_length=args.length,
-            box=args.box,
-            points_per_fiber=args.points_per_fiber,
-            seed=args.seed,
-            n_clusters=args.n_clusters,
-            cluster_std=args.cluster_std,
-            direction_jitter_std=args.direction_jitter_std,
-        )
-    except ValueError as exc:
-        print(f"fiberk simulate: {exc}", file=sys.stderr)
-        return 2
-    fibers = make_dataset(config)
-    try:
-        write_fibers(fibers, args.out)
-    except OSError as exc:
-        print(f"fiberk simulate: {exc}", file=sys.stderr)
-        return 1
-    return 0
+def _cmd_simulate(args) -> None:
+    config = SimConfig(
+        process=ProcessKind(args.process),
+        n_fibers=args.n,
+        fiber_length=args.length,
+        box=args.box,
+        points_per_fiber=args.points_per_fiber,
+        seed=args.seed,
+        n_clusters=args.n_clusters,
+        cluster_std=args.cluster_std,
+        direction_jitter_std=args.direction_jitter_std,
+    )
+    write_fibers(make_dataset(config), args.out)
 
 
-def _load_fibers(args) -> list | None:
-    try:
-        return read_fibers(args.infile)
-    except (FiberFileError, OSError) as exc:
-        print(f"fiberk: {exc}", file=sys.stderr)
-        return None
-
-
-def _cmd_kfun(args) -> int:
-    fibers = _load_fibers(args)
-    if fibers is None:
-        return 1
+def _cmd_kfun(args) -> None:
+    fibers = read_fibers(args.infile)
     kind = CenterFunctionKind(args.center)
     if args.segment_length is not None:
         if args.segment_length > 0:
@@ -164,45 +152,27 @@ def _cmd_kfun(args) -> int:
             total = math.fsum(arclength(f) for f in fibers) / args.segment_length
             if not total <= MAX_TOTAL_PIECES:
                 count = math.ceil(total) if math.isfinite(total) else "infinitely many"
-                print(
-                    f"fiberk kfun: --segment-length {args.segment_length:g} would cut the"
+                raise ValueError(
+                    f"--segment-length {args.segment_length:g} would cut the"
                     f" {len(fibers)} fibers into {count} pieces, more than"
-                    f" {MAX_TOTAL_PIECES} in total",
-                    file=sys.stderr,
+                    f" {MAX_TOTAL_PIECES} in total"
                 )
-                return 2
-        try:
-            fibers = [piece for f in fibers for piece in segment(f, args.segment_length)]
-        except ValueError as exc:
-            print(f"fiberk kfun: {exc}", file=sys.stderr)
-            return 2
-    try:
-        config = KConfig(
-            kernel=KernelParams(p=args.p, sigma=args.sigma),
-            t_grid=args.t_grid,
-            s_grid=args.s_grid,
-            center_kind=kind,
-            orientation_invariant=not args.oriented,
-            spacing=args.spacing,
-        )
-        window = args.window if args.window is not None else inset_window(fibers, kind, args.inset)
-        result = k_function(fibers, config, window)
-    except ValueError as exc:
-        print(f"fiberk kfun: {exc}", file=sys.stderr)
-        return 2
-    except EmptyWindowError as exc:
-        print(f"fiberk kfun: {exc}", file=sys.stderr)
-        return 3
-    try:
-        write_kcsv(result, args.out)
-    except OSError as exc:
-        print(f"fiberk kfun: {exc}", file=sys.stderr)
-        return 1
+        fibers = [piece for f in fibers for piece in segment(f, args.segment_length)]
+    config = KConfig(
+        kernel=KernelParams(p=args.p, sigma=args.sigma),
+        t_grid=args.t_grid,
+        s_grid=args.s_grid,
+        center_kind=kind,
+        orientation_invariant=not args.oriented,
+        spacing=args.spacing,
+    )
+    window = args.window if args.window is not None else inset_window(fibers, kind, args.inset)
+    result = k_function(fibers, config, window)
+    write_kcsv(result, args.out)
     print(
         f"N={result.n_in_window} |W|={result.window.volume:.17g} "
         f"nu_hat={result.intensity_hat:.17g}"
     )
-    return 0
 
 
 def _csv_field(text: str) -> str:
@@ -212,50 +182,42 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _cmd_dist(args) -> int:
-    fibers = _load_fibers(args)
-    if fibers is None:
-        return 1
-    kind = CenterFunctionKind(args.center)
-    centered = [center(f, kind) for f in fibers]
-    try:
-        params = KernelParams(p=args.p, sigma=args.sigma)
-        spacing = args.spacing if args.spacing is not None else args.sigma / 20.0
-        currents = [discretize(c.fiber, spacing) for c in centered]
-    except ValueError as exc:
-        print(f"fiberk dist: {exc}", file=sys.stderr)
-        return 2
+def _cmd_dist(args) -> None:
+    fibers = read_fibers(args.infile)
+    params = KernelParams(p=args.p, sigma=args.sigma)
+    spacing = args.spacing if args.spacing is not None else params.default_spacing
+    prepared = list(_centered_currents(fibers, CenterFunctionKind(args.center), spacing))
     measure = distance if args.oriented else min_distance
-    centers = np.array([c.original_center for c in centered])
     ids = [_csv_field(f.id) for f in fibers]
     rows = ["id_a,id_b,center_dist,shape_dist"]
-    for i in range(len(fibers)):
-        for j in range(i + 1, len(fibers)):
-            cd = float(np.linalg.norm(centers[i] - centers[j]))
-            sd = measure(currents[i], currents[j], params)
+    for i, (center_i, current_i) in enumerate(prepared):
+        for j in range(i + 1, len(prepared)):
+            center_j, current_j = prepared[j]
+            cd = float(np.linalg.norm(center_i - center_j))
+            sd = measure(current_i, current_j, params)
             rows.append(f"{ids[i]},{ids[j]},{cd:.17g},{sd:.17g}")
-    try:
-        _atomic_write(args.out, "\n".join(rows) + "\n")
-    except OSError as exc:
-        print(f"fiberk dist: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    _atomic_write(args.out, "\n".join(rows) + "\n")
+
+
+_COMMANDS = {"simulate": _cmd_simulate, "kfun": _cmd_kfun, "dist": _cmd_dist}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "kfun":
-        return _cmd_kfun(args)
-    if args.command == "dist":
-        return _cmd_dist(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    try:
+        _COMMANDS[args.command](args)
+        return 0
+    except (FiberFileError, OSError) as exc:  # before ValueError: FiberFileError is one
+        error, code = exc, 1
+    except ValueError as exc:
+        error, code = exc, 2
+    except EmptyWindowError as exc:
+        error, code = exc, 3
+    print(f"fiberk {args.command}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

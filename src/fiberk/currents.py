@@ -49,6 +49,11 @@ class KernelParams:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
 
+    @property
+    def default_spacing(self) -> float:
+        """Atom spacing used when none is given: sigma / 20."""
+        return self.sigma / 20.0
+
 
 @dataclass(frozen=True, eq=False)
 class DiracAtom:

@@ -92,7 +92,7 @@ class KConfig:
     s_grid: np.ndarray
     center_kind: CenterFunctionKind = CenterFunctionKind.MASS_CENTER
     orientation_invariant: bool = True
-    spacing: float | None = None  # default sigma / 20
+    spacing: float | None = None  # default kernel.default_spacing
 
     def __post_init__(self):
         object.__setattr__(self, "t_grid", _validated_grid(self.t_grid, "t_grid"))
@@ -102,7 +102,7 @@ class KConfig:
 
     @property
     def resolved_spacing(self) -> float:
-        return self.spacing if self.spacing is not None else self.kernel.sigma / 20.0
+        return self.spacing if self.spacing is not None else self.kernel.default_spacing
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +138,24 @@ def csr_reference(t: float) -> float:
     return 4.0 / 3.0 * math.pi * t**3
 
 
+def _centered_currents(fibers, kind, spacing):
+    """Yield ``(center, current)`` per fiber: its center point and the current
+    of its centered copy. Each fiber is centered once and its centered copy is
+    discretized at once, so no centered fiber outlives its atoms."""
+    for f in fibers:
+        c = center(f, kind)
+        yield c.original_center, discretize(c.fiber, spacing)
+
+
 def _center_and_pack(fibers, kind, spacing):
-    """Center each fiber once and discretize the centered copy in the same
-    pass, so no centered fiber outlives its atoms. Returns the centers and
-    the packed atoms (positions, tangents, offsets)."""
+    """The centers and the packed atoms (positions, tangents, offsets) of
+    :func:`_centered_currents`, consumed as a stream so no current outlives
+    its packing."""
     centers = np.empty((len(fibers), 3))
     positions, tangents = [np.empty((0, 3))], [np.empty((0, 3))]
     offsets = np.zeros(len(fibers) + 1, dtype=np.int64)
-    for i, f in enumerate(fibers):
-        c = center(f, kind)
-        centers[i] = c.original_center
-        cur = discretize(c.fiber, spacing)
+    for i, (c, cur) in enumerate(_centered_currents(fibers, kind, spacing)):
+        centers[i] = c
         positions.append(cur.positions)
         tangents.append(cur.tangents)
         offsets[i + 1] = offsets[i] + len(cur)

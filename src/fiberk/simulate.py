@@ -28,6 +28,16 @@ __all__ = [
     "make_dataset",
 ]
 
+# Most points one dataset may have: fibers x points per fiber, plus one per
+# cluster center. Through `fiberk simulate`, which holds the whole output text
+# before writing it, each point costs about 290 B of peak memory and 5 us (400
+# fibers of 1,000 points, numpy 2.4 on x86-64), so an admitted run stays under
+# about 1 GiB.
+MAX_TOTAL_POINTS = 4 * 10**6
+# Longest fiber_length: segment lengths are squared in arclength and centering,
+# and overflow from about 1e154 on.
+MAX_FIBER_LENGTH = 1e150
+
 
 class ProcessKind(Enum):
     UNIFORM_LINES = "lines"
@@ -54,8 +64,6 @@ class SimConfig:
     n_clusters: int = 10
     cluster_std: float = 5.0
     direction_jitter_std: float = 0.1
-    spiral_radius: float | None = None  # default fiber_length / 8
-    spiral_turns: float = 1.0
     poisson_count: bool = False
     center_seed: int | None = None
     shape_seed: int | None = None
@@ -63,12 +71,26 @@ class SimConfig:
     def __post_init__(self):
         if self.n_fibers < 1:
             raise ValueError("n_fibers must be >= 1")
-        if not self.fiber_length > 0:
-            raise ValueError("fiber_length must be > 0")
+        if not 0 < self.fiber_length <= MAX_FIBER_LENGTH:
+            raise ValueError(f"fiber_length must be > 0 and <= {MAX_FIBER_LENGTH:g}")
+        for name in ("cluster_std", "direction_jitter_std"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.points_per_fiber < 2:
             raise ValueError("points_per_fiber must be >= 2")
         if self.process is ProcessKind.CLUSTERED_LINES and self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
+        _check_total_points(self, self.n_fibers)
+
+
+def _check_total_points(config: SimConfig, n_fibers: int) -> None:
+    what = f"{n_fibers} fibers of {config.points_per_fiber} points"
+    points = n_fibers * config.points_per_fiber
+    if config.process is ProcessKind.CLUSTERED_LINES:
+        what += f" and {config.n_clusters} cluster centers"
+        points += config.n_clusters
+    if points > MAX_TOTAL_POINTS:
+        raise ValueError(f"{what} are {points} points, more than {MAX_TOTAL_POINTS} in total")
 
 
 def _unit_vector(rng) -> np.ndarray:
@@ -137,7 +159,8 @@ def gen_spiral(
         raise ValueError(
             "spiral radius too large for the requested length and turns"
         )
-    pitch = math.sqrt(per_angle**2 - r**2)
+    q = r / per_angle  # per_angle**2 may overflow
+    pitch = per_angle * math.sqrt((1.0 - q) * (1.0 + q))
     theta = np.linspace(0.0, theta_max, points_per_fiber)
     pts = np.stack([r * np.cos(theta), r * np.sin(theta), pitch * theta], axis=1)
     pts = pts @ _random_rotation(rng).T
@@ -205,6 +228,7 @@ def make_dataset(config: SimConfig) -> list[Fiber]:
     n = config.n_fibers
     if config.poisson_count:
         n = max(1, int(rng_c.poisson(config.n_fibers)))
+        _check_total_points(config, n)
     centers = sample_centers(config, rng_c, n_fibers=n)
     ppf = config.points_per_fiber
     length = config.fiber_length
@@ -212,10 +236,7 @@ def make_dataset(config: SimConfig) -> list[Fiber]:
     if config.process is ProcessKind.UNIFORM_LINES:
         shapes = [gen_line(length, rng_s, ppf) for _ in range(n)]
     elif config.process is ProcessKind.UNIFORM_SPIRALS:
-        shapes = [
-            gen_spiral(length, rng_s, ppf, config.spiral_radius, config.spiral_turns)
-            for _ in range(n)
-        ]
+        shapes = [gen_spiral(length, rng_s, ppf) for _ in range(n)]
     elif config.process is ProcessKind.UNIFORM_BROWNIAN:
         shapes = [gen_brownian(length, rng_s, ppf) for _ in range(n)]
     elif config.process is ProcessKind.CLUSTERED_LINES:

@@ -474,6 +474,87 @@ def _dist_csv_per_call(path, p, oriented) -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
+_SIMULATE = ["simulate", "--process", "lines", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["kfun", "--in", "{malformed}", "--inset", "0.13"], 1, id="kfun-malformed"),
+        pytest.param(["dist", "--in", "{malformed}"], 1, id="dist-malformed"),
+        pytest.param([*_SIMULATE, "--out", "{unwritable}"], 1, id="simulate-unwritable"),
+        pytest.param(
+            ["kfun", "--in", "{data}", "--inset", "0.13", "--out", "{unwritable}"],
+            1,
+            id="kfun-unwritable",
+        ),
+        pytest.param(["dist", "--in", "{data}", "--out", "{unwritable}"], 1, id="dist-unwritable"),
+        pytest.param(["simulate", "--process", "lines", "--n", "0"], 2, id="simulate-bad-flag"),
+        pytest.param(
+            ["kfun", "--in", "{data}", "--inset", "0.13", "--sigma", "0"], 2, id="kfun-bad-flag"
+        ),
+        pytest.param(["dist", "--in", "{data}", "--sigma", "0"], 2, id="dist-bad-flag"),
+        pytest.param(
+            ["kfun", "--in", "{data}", "--window", "200,200,200,300,300,300"],
+            3,
+            id="kfun-empty-window",
+        ),
+        pytest.param([*_SIMULATE, "--length", "inf"], 2, id="simulate-length-inf"),
+        pytest.param([*_SIMULATE, "--length", "1e-320"], 2, id="simulate-length-subnormal"),
+        pytest.param(
+            ["simulate", "--process", "spirals", "--n", "3", "--length", "1e308"],
+            2,
+            id="simulate-spiral-length-huge",
+        ),
+        pytest.param(
+            ["simulate", "--process", "clustered", "--n", "3", "--cluster-std", "nan"],
+            2,
+            id="simulate-cluster-std-nan",
+        ),
+        pytest.param([*_SIMULATE, "--cluster-std", "-1"], 2, id="simulate-cluster-std-negative"),
+        pytest.param(
+            [*_SIMULATE, "--direction-jitter-std", "-0.1"], 2, id="simulate-jitter-negative"
+        ),
+        pytest.param(
+            ["simulate", "--process", "lines", "--n", "1000000000"], 2, id="simulate-too-many-points"
+        ),
+        pytest.param(
+            ["simulate", "--process", "clustered", "--n", "3", "--n-clusters", "4000000"],
+            2,
+            id="simulate-too-many-clusters",
+        ),
+    ],
+)
+def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
+    malformed = tmp_path / "bad.fib"
+    malformed.write_text("not a fiber file\n")
+    out = tmp_path / "out"
+    unwritable = tmp_path / "missing" / "out"
+    paths = {"{data}": dataset_file, "{malformed}": malformed, "{unwritable}": unwritable}
+    argv = [str(paths.get(a, a)) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"fiberk {argv[0]}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists() and not unwritable.parent.exists()
+
+
+def test_package_lists_each_public_name_once():
+    import fiberk
+    from fiberk import currents, fiber_core, fileio, kfunction, simulate
+
+    modules = (fiber_core, currents, kfunction, fileio, simulate)
+    names = {name for module in modules for name in module.__all__}
+    assert len(fiberk.__all__) == len(names)
+    assert set(fiberk.__all__) == names
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fiberk, name) is getattr(module, name)
+
+
 class TestCliDist:
     @pytest.mark.parametrize("oriented", [False, True], ids=["min", "oriented"])
     @pytest.mark.parametrize("p", ["1", "2", "inf"])

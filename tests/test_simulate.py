@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from fiberk import simulate
 from fiberk import (
     CenterFunctionKind,
     ProcessKind,
@@ -81,6 +84,12 @@ class TestGenerators:
     def test_spiral_rejects_impossible_radius(self, rng):
         with pytest.raises(ValueError):
             gen_spiral(40.0, rng, radius=20.0, turns=3.0)
+
+    def test_spiral_huge_length_is_a_value_error(self, rng):
+        # the pitch is formed without squaring length / (2 pi turns), so the
+        # failure is the finite-coordinate check, not an OverflowError
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            gen_spiral(1e308, rng)
 
     def test_brownian_arclength_and_centering(self, rng):
         f = gen_brownian(40.0, rng)
@@ -169,3 +178,62 @@ class TestMakeDataset:
         write_fibers(make_dataset(cfg), p1)
         write_fibers(make_dataset(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestSimConfigBounds:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fiber_length", math.inf),
+            ("fiber_length", math.nan),
+            ("fiber_length", 0.0),
+            ("fiber_length", 1e308),
+            ("cluster_std", math.nan),
+            ("cluster_std", math.inf),
+            ("cluster_std", -1.0),
+            ("direction_jitter_std", math.nan),
+            ("direction_jitter_std", -0.1),
+        ],
+    )
+    def test_rejects_impossible_shape_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(process=ProcessKind.CLUSTERED_LINES, **{field: value})
+
+    def test_longest_admitted_fiber(self):
+        cfg = SimConfig(
+            process=ProcessKind.UNIFORM_SPIRALS, n_fibers=2, fiber_length=simulate.MAX_FIBER_LENGTH
+        )
+        for f in make_dataset(cfg):
+            assert arclength(f) == pytest.approx(simulate.MAX_FIBER_LENGTH, rel=1e-9)
+
+    @pytest.mark.parametrize("process", list(ProcessKind))
+    def test_total_points_bounded(self, process):
+        # one point over the bound is refused by the constructor, before any
+        # array exists; clustered datasets count each cluster center as a point
+        clusters = 10 if process is ProcessKind.CLUSTERED_LINES else 0
+        n = (simulate.MAX_TOTAL_POINTS - clusters) // 100
+        SimConfig(process=process, n_fibers=n, points_per_fiber=100, n_clusters=10)
+        with pytest.raises(ValueError, match="more than 4000000 in total"):
+            SimConfig(process=process, n_fibers=n, points_per_fiber=101, n_clusters=10)
+        with pytest.raises(ValueError, match="more than 4000000 in total"):
+            SimConfig(process=process, n_fibers=n + 1, points_per_fiber=100, n_clusters=10)
+
+    def test_poisson_draw_bounded(self, monkeypatch):
+        # the mean is at the bound and the draw above it: refused before any
+        # center is sampled
+        def no_centers(*args, **kwargs):
+            raise AssertionError("sample_centers called")
+
+        monkeypatch.setattr(simulate, "MAX_TOTAL_POINTS", 100)
+        monkeypatch.setattr(simulate, "sample_centers", no_centers)
+        # make_dataset's first draw from the center stream is the count
+        seed = next(s for s in range(100) if np.random.default_rng(s).poisson(50) > 50)
+        cfg = SimConfig(
+            process=ProcessKind.UNIFORM_LINES,
+            n_fibers=50,
+            points_per_fiber=2,
+            poisson_count=True,
+            center_seed=seed,
+        )
+        with pytest.raises(ValueError, match="more than 100 in total"):
+            make_dataset(cfg)
