@@ -38,6 +38,12 @@ def _kernel_of_dist(d: np.ndarray, p: float, sigma: float) -> np.ndarray:
         return np.exp(-0.5 * (d / sigma) ** p)
 
 
+# Most kernel evaluations one pair of currents may need: inner and _pair_inner
+# evaluate a pair in one block, whose float64 intermediates take 32 B per
+# evaluation (40 B for p = inf), so one block stays near 0.5 GiB. Callers
+# bound the atoms per current to its square root.
+MAX_PAIR_EVALS = 2**24
+
 # Most kernel evaluations in one _block_sums call from _pair_inner: the
 # float64 intermediates of a chunk then take about 2.5 MB.
 _CHUNK_EVALS = 2**16

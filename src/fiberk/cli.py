@@ -18,6 +18,7 @@ from .currents import KernelParams, distance, min_distance
 from .fiber_core import CenterFunctionKind, arclength, segment
 from .fileio import FiberFileError, read_fibers, write_fibers, write_kcsv, _atomic_write
 from .kfunction import (
+    MAX_K_CELLS,
     EmptyWindowError,
     KConfig,
     Window,
@@ -28,7 +29,6 @@ from .kfunction import (
 from .simulate import ProcessKind, SimConfig, make_dataset
 
 DEFAULT_SIGMA = 100.0 / 3.0
-MAX_GRID_POINTS = 10**6
 # Most pieces kfun --segment-length may cut all fibers into together. Each
 # piece costs about 0.8 kB of peak memory and 0.1 ms through kfun (3 fibers
 # cut into 10,000 to 100,000 pieces, numpy 2.4 on x86-64), so an admitted run
@@ -60,25 +60,14 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad grid value in {text!r}") from None
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise argparse.ArgumentTypeError(f"grid values must be finite in {text!r}")
-    if step <= 0 or stop < start or start <= 0:
-        raise argparse.ArgumentTypeError("grid needs start > 0, stop >= start, step > 0")
+    if not step > 0:
+        raise argparse.ArgumentTypeError("grid step must be > 0")
+    # A grid has at most as many points as the K table has cells; KConfig
+    # checks the rest, so stop < start gives an empty grid for it to reject.
     steps = (stop - start) / step + 1e-9
-    if not steps < MAX_GRID_POINTS:  # also catches a ratio that overflows to inf
-        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    n = int(math.floor(steps)) + 1
-    return start + step * np.arange(n)
-
-
-def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        p = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad exponent {text!r}") from None
-    if p <= 0:
-        raise argparse.ArgumentTypeError("p must be > 0")
-    return p
+    if not steps < MAX_K_CELLS:  # also catches a ratio that overflows to inf
+        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {MAX_K_CELLS} points")
+    return start + step * np.arange(math.floor(max(steps, -1.0)) + 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,22 +77,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate a seeded fiber dataset")
+    # a flag left out stays unset, so SimConfig's default applies
+    sim = sub.add_parser(
+        "simulate", help="generate a seeded fiber dataset", argument_default=argparse.SUPPRESS
+    )
     sim.add_argument("--process", required=True, choices=[k.value for k in ProcessKind])
-    sim.add_argument("--n", type=int, required=True, help="number of fibers")
-    sim.add_argument("--length", type=float, default=40.0, help="fiber arclength")
-    sim.add_argument("--box", type=_parse_box, default=_parse_box("0,0,0,100,100,100"))
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--points-per-fiber", type=int, default=100)
-    sim.add_argument("--n-clusters", type=int, default=10)
-    sim.add_argument("--cluster-std", type=float, default=5.0)
-    sim.add_argument("--direction-jitter-std", type=float, default=0.1)
+    sim.add_argument("--n", dest="n_fibers", type=int, required=True, help="number of fibers")
+    sim.add_argument("--length", dest="fiber_length", type=float, help="fiber arclength")
+    sim.add_argument("--box", type=_parse_box)
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--points-per-fiber", type=int)
+    sim.add_argument("--n-clusters", type=int)
+    sim.add_argument("--cluster-std", type=float)
+    sim.add_argument("--direction-jitter-std", type=float)
     sim.add_argument("--out", required=True, help="output fiber file")
 
     def add_metric_flags(p):
         p.add_argument("--in", dest="infile", required=True, help="input fiber file")
         p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-        p.add_argument("--p", type=_parse_p, default=2.0)
+        p.add_argument("--p", type=float, default=2.0, help="kernel exponent, or inf")
         p.add_argument("--spacing", type=float, default=None, help="atom spacing (default sigma/20)")
         p.add_argument("--oriented", action="store_true", help="disable orientation minimization")
         p.add_argument("--center", choices=[k.value for k in CenterFunctionKind], default="mass")
@@ -111,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     kf = sub.add_parser("kfun", help="estimate the two-parameter K-function")
     add_metric_flags(kf)
-    kf.add_argument("--t-grid", type=_parse_grid, default=_parse_grid("5:50:5"))
-    kf.add_argument("--s-grid", type=_parse_grid, default=_parse_grid("10:100:10"))
+    kf.add_argument("--t-grid", type=_parse_grid, default="5:50:5")
+    kf.add_argument("--s-grid", type=_parse_grid, default="10:100:10")
     win = kf.add_mutually_exclusive_group(required=True)
     win.add_argument("--window", type=_parse_box, help="observation box 'x0,y0,z0,x1,y1,z1'")
     win.add_argument(
@@ -128,23 +120,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> None:
-    config = SimConfig(
-        process=ProcessKind(args.process),
-        n_fibers=args.n,
-        fiber_length=args.length,
-        box=args.box,
-        points_per_fiber=args.points_per_fiber,
-        seed=args.seed,
-        n_clusters=args.n_clusters,
-        cluster_std=args.cluster_std,
-        direction_jitter_std=args.direction_jitter_std,
-    )
-    write_fibers(make_dataset(config), args.out)
+    fields = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    fields["process"] = ProcessKind(fields["process"])
+    write_fibers(make_dataset(SimConfig(**fields)), args.out)
 
 
 def _cmd_kfun(args) -> None:
+    config = KConfig(
+        kernel=KernelParams(p=args.p, sigma=args.sigma),
+        t_grid=args.t_grid,
+        s_grid=args.s_grid,
+        center_kind=CenterFunctionKind(args.center),
+        orientation_invariant=not args.oriented,
+        spacing=args.spacing,
+    )
     fibers = read_fibers(args.infile)
-    kind = CenterFunctionKind(args.center)
     if args.segment_length is not None:
         if args.segment_length > 0:
             # Python floats, so a ratio that overflows is inf; segment bounds
@@ -158,15 +148,7 @@ def _cmd_kfun(args) -> None:
                     f" {MAX_TOTAL_PIECES} in total"
                 )
         fibers = [piece for f in fibers for piece in segment(f, args.segment_length)]
-    config = KConfig(
-        kernel=KernelParams(p=args.p, sigma=args.sigma),
-        t_grid=args.t_grid,
-        s_grid=args.s_grid,
-        center_kind=kind,
-        orientation_invariant=not args.oriented,
-        spacing=args.spacing,
-    )
-    window = args.window if args.window is not None else inset_window(fibers, kind, args.inset)
+    window = args.window or inset_window(fibers, config.center_kind, args.inset)
     result = k_function(fibers, config, window)
     write_kcsv(result, args.out)
     print(
@@ -183,9 +165,9 @@ def _csv_field(text: str) -> str:
 
 
 def _cmd_dist(args) -> None:
-    fibers = read_fibers(args.infile)
     params = KernelParams(p=args.p, sigma=args.sigma)
     spacing = args.spacing if args.spacing is not None else params.default_spacing
+    fibers = read_fibers(args.infile)
     prepared = list(_centered_currents(fibers, CenterFunctionKind(args.center), spacing))
     measure = distance if args.oriented else min_distance
     ids = [_csv_field(f.id) for f in fibers]

@@ -30,6 +30,9 @@ __all__ = [
 MAX_RESAMPLE_POINTS = 10**7
 # Most pieces segment may cut one fiber into.
 MAX_SEGMENT_PIECES = MAX_RESAMPLE_POINTS
+# Largest coordinate magnitude a fiber may have. Segment lengths are computed
+# from squared coordinate differences, which overflow from about 1e154 on.
+MAX_COORDINATE = 1e100
 
 
 class CenterFunctionKind(Enum):
@@ -45,8 +48,10 @@ def _validated_points(points) -> np.ndarray:
         raise ValueError("fiber points must be an (n, 3) array")
     if pts.shape[0] < 2:
         raise ValueError("a fiber needs at least 2 points")
-    if not np.isfinite(pts).all():
-        raise ValueError("fiber coordinates must be finite")
+    if not np.abs(pts).max() <= MAX_COORDINATE:  # also catches nan
+        if not np.isfinite(pts).all():
+            raise ValueError("fiber coordinates must be finite")
+        raise ValueError(f"fiber coordinates must be within +-{MAX_COORDINATE:g}")
     seg = pts[1:] - pts[:-1]
     if not np.einsum("ij,ij->i", seg, seg).all():
         raise ValueError("consecutive fiber points must be distinct")

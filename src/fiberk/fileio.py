@@ -22,7 +22,6 @@ from typing import NoReturn
 import numpy as np
 
 from .fiber_core import Fiber
-from .kfunction import KResult
 
 __all__ = ["FiberFileError", "read_fibers", "write_fibers", "write_kcsv", "read_kcsv"]
 
@@ -39,15 +38,21 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fiberk-tmp-")
+    """Write ``text`` to a temporary file beside ``path``, then move it onto
+    ``path``. On any failure the temporary file is removed; an OS error is
+    raised again as ``OSError("cannot write <path>: <reason>")``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fiberk-tmp-")
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -62,10 +67,7 @@ def write_fibers(fibers: list[Fiber], path) -> None:
         lines.append(f"fiber {f.id} {len(f.points)}")
         for x, y, z in f.points:
             lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}")
-    try:
-        _atomic_write(path, "\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write fiber file {path}: {exc}") from exc
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _parse_block(path, lines, lineno: int, n_points: int) -> np.ndarray:
@@ -144,16 +146,13 @@ def read_fibers(path) -> list[Fiber]:
     return fibers
 
 
-def write_kcsv(result: KResult, path) -> None:
-    """Write the K matrix as CSV rows (t, s, k) in t-major order."""
+def write_kcsv(result, path) -> None:
+    """Write the K matrix of a ``KResult`` as CSV rows (t, s, k) in t-major order."""
     rows = ["t,s,k"]
     for i, t in enumerate(result.t_grid):
         for j, s in enumerate(result.s_grid):
             rows.append(f"{t:.17g},{s:.17g},{result.k[i, j]:.17g}")
-    try:
-        _atomic_write(path, "\n".join(rows) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write K CSV {path}: {exc}") from exc
+    _atomic_write(path, "\n".join(rows) + "\n")
 
 
 def read_kcsv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

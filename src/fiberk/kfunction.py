@@ -17,7 +17,7 @@ import numpy as np
 
 from . import backends
 from .currents import KernelParams, _shape_distance, discretize
-from .fiber_core import CenterFunctionKind, Fiber, _center_point, center
+from .fiber_core import MAX_COORDINATE, CenterFunctionKind, Fiber, _center_point, center
 
 __all__ = [
     "EmptyWindowError",
@@ -31,6 +31,18 @@ __all__ = [
     "inset_window",
     "saturation_bound",
 ]
+
+
+# Most (t, s) cells a K table may have. Each cell costs about 100 B of peak
+# memory and 2 to 3 us through kfun (a 1,000 x 1,000 grid on 30 fibers, numpy 2.4
+# on x86-64), so an admitted table stays near 100 MB.
+MAX_K_CELLS = 10**6
+# Most atoms all currents of one run may have together. The packed atoms of
+# kfun take about 100 B each, and the currents dist holds about 120 B each
+# (500 fibers at 400 and 2,000 atoms each, numpy 2.4 on x86-64); with one pair
+# block of at most backends.MAX_PAIR_EVALS kernel evaluations, an admitted run
+# stays near 1 GiB.
+MAX_TOTAL_ATOMS = 4 * 10**6
 
 
 class EmptyWindowError(RuntimeError):
@@ -49,8 +61,11 @@ class Window:
         hi = np.ascontiguousarray(self.upper, dtype=np.float64)
         if lo.shape != (3,) or hi.shape != (3,):
             raise ValueError("window corners must be 3-vectors")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("window corners must be finite")
+        # bounded like fiber coordinates, so the volume cannot overflow
+        if not np.abs([lo, hi]).max() <= MAX_COORDINATE:  # also catches nan
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise ValueError("window corners must be finite")
+            raise ValueError(f"window corners must be within +-{MAX_COORDINATE:g}")
         if not np.all(lo < hi):
             raise ValueError("window must satisfy lower < upper componentwise")
         lo.setflags(write=False)
@@ -97,6 +112,11 @@ class KConfig:
     def __post_init__(self):
         object.__setattr__(self, "t_grid", _validated_grid(self.t_grid, "t_grid"))
         object.__setattr__(self, "s_grid", _validated_grid(self.s_grid, "s_grid"))
+        nt, ns = len(self.t_grid), len(self.s_grid)
+        if nt * ns > MAX_K_CELLS:
+            raise ValueError(
+                f"a {nt} x {ns} (t, s) grid has {nt * ns} cells, more than {MAX_K_CELLS}"
+            )
         if self.spacing is not None and not self.spacing > 0:
             raise ValueError("spacing must be > 0")
 
@@ -141,10 +161,28 @@ def csr_reference(t: float) -> float:
 def _centered_currents(fibers, kind, spacing):
     """Yield ``(center, current)`` per fiber: its center point and the current
     of its centered copy. Each fiber is centered once and its centered copy is
-    discretized at once, so no centered fiber outlives its atoms."""
+    discretized at once, so no centered fiber outlives its atoms.
+
+    Raises ValueError before the next fiber is centered once a current has
+    more atoms than one pair block may square (``backends.MAX_PAIR_EVALS``)
+    or the atoms so far exceed ``MAX_TOTAL_ATOMS``."""
+    total = 0
     for f in fibers:
         c = center(f, kind)
-        yield c.original_center, discretize(c.fiber, spacing)
+        current = discretize(c.fiber, spacing)
+        atoms = len(current)
+        total += atoms
+        if atoms * atoms > backends.MAX_PAIR_EVALS:
+            raise ValueError(
+                f"fiber {f.id}: spacing {spacing:g} gives {atoms} atoms, more than"
+                f" {math.isqrt(backends.MAX_PAIR_EVALS)} per fiber"
+            )
+        if total > MAX_TOTAL_ATOMS:
+            raise ValueError(
+                f"fiber {f.id}: spacing {spacing:g} brings the atom total to {total},"
+                f" more than {MAX_TOTAL_ATOMS} in total"
+            )
+        yield c.original_center, current
 
 
 def _center_and_pack(fibers, kind, spacing):

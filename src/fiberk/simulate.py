@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fiber_core import CenterFunctionKind, Fiber, center
+from .fiber_core import MAX_COORDINATE, CenterFunctionKind, Fiber, center
 from .kfunction import Window
 
 __all__ = [
@@ -34,9 +34,10 @@ __all__ = [
 # fibers of 1,000 points, numpy 2.4 on x86-64), so an admitted run stays under
 # about 1 GiB.
 MAX_TOTAL_POINTS = 4 * 10**6
-# Longest fiber_length: segment lengths are squared in arclength and centering,
-# and overflow from about 1e154 on.
-MAX_FIBER_LENGTH = 1e150
+# Longest fiber_length. A fiber's points lie within its length of its center,
+# so a fiber centered within 0.9 MAX_COORDINATE of the origin keeps its
+# coordinates inside the bound that Fiber enforces.
+MAX_FIBER_LENGTH = MAX_COORDINATE / 10
 
 
 class ProcessKind(Enum):

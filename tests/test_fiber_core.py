@@ -52,6 +52,20 @@ class TestFiberValidation:
         with pytest.raises(ValueError):
             Fiber("x", [[0, 0, 0], [np.nan, 0, 0]])
 
+    @pytest.mark.parametrize("x", [1e160, -1e200, np.inf, np.nan])
+    def test_rejects_coordinates_beyond_the_bound(self, x):
+        # checked before any segment length is squared, so no overflow warning
+        what = "within \\+-1e\\+100" if math.isfinite(x) else "finite"
+        with pytest.raises(ValueError, match=f"fiber coordinates must be {what}"):
+            Fiber("x", [[0, 0, 0], [x, 0, 0]])
+
+    def test_coordinates_at_the_bound_measure_finitely(self):
+        b = fiber_core.MAX_COORDINATE
+        f = Fiber("x", [[0, 0, 0], [b, b, b], [0, b, 0]])
+        assert arclength(f) == pytest.approx((math.sqrt(3) + math.sqrt(2)) * b)
+        for kind in CenterFunctionKind:
+            assert np.isfinite(center(f, kind).original_center).all()
+
     def test_points_are_read_only(self):
         f = straight()
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from fiberk import (
     center,
     cli,
     discretize,
+    kfunction,
     make_dataset,
     read_fibers,
     read_kcsv,
@@ -140,6 +141,7 @@ _CORPUS = {
     "inf": _VALID.replace("1 0 0", "inf 0 0"),
     "-Infinity": _VALID.replace("1 0 0", "1 0 -Infinity"),
     "overflow to inf": _VALID.replace("1 0 0", "1e999 0 0"),
+    "beyond the coordinate bound": _VALID.replace("1 0 0", "1e160 0 0"),
     "underscore digits": _VALID.replace("1 0 0", "1_0 0 0"),
     "hex float": _VALID.replace("1 0 0", "0x1p3 0 0"),
     "no-break space": _VALID.replace("1 0 0", "1\u00a00 0"),
@@ -276,6 +278,19 @@ class TestCliSimulate:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_flags_left_out_take_simconfigs_defaults(self, tmp_path):
+        args = ["simulate", "--process", "clustered", "--n", "6"]
+        spelled_out = [
+            "--length", "40", "--box", "0,0,0,100,100,100", "--seed", "0",
+            "--points-per-fiber", "100", "--n-clusters", "10", "--cluster-std", "5",
+            "--direction-jitter-std", "0.1",
+        ]
+        a, b, c = tmp_path / "a.fib", tmp_path / "b.fib", tmp_path / "c.fib"
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + spelled_out + ["--out", str(b)]) == 0
+        write_fibers(make_dataset(SimConfig(process=ProcessKind.CLUSTERED_LINES, n_fibers=6)), c)
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
 
 @pytest.fixture(scope="module")
 def dataset_file(tmp_path_factory):
@@ -333,7 +348,7 @@ class TestCliKfun:
         assert code == 3
         assert not (tmp_path / "k.csv").exists()
 
-    @pytest.mark.parametrize("grid", ["1:inf:1", "1:1e12:1"])
+    @pytest.mark.parametrize("grid", ["1:inf:1", "1:1e12:1", "1:5:0"])
     def test_unbounded_grid_exit_2(self, dataset_file, tmp_path, grid, capsys):
         out = tmp_path / "k.csv"
         argv = ["kfun", "--in", str(dataset_file), "--inset", "0.13", "--t-grid", grid]
@@ -475,6 +490,11 @@ def _dist_csv_per_call(path, p, oriented) -> bytes:
 
 
 _SIMULATE = ["simulate", "--process", "lines", "--n", "3"]
+_KFUN = ["kfun", "--in", "{data}", "--inset", "0.13"]
+_DIST = ["dist", "--in", "{data}"]
+_COMMANDS = {"simulate": _SIMULATE, "kfun": _KFUN, "dist": _DIST}
+_TWO_MILLION_CELLS = ["--t-grid", "1:2000:1", "--s-grid", "1:1000:1"]
+_HUGE = "fiberset v1 2\nfiber a 2\n0 0 0\n1e160 0 0\nfiber b 2\n0 1 0\n1 1 0\n"
 
 
 @pytest.mark.parametrize(
@@ -523,14 +543,40 @@ _SIMULATE = ["simulate", "--process", "lines", "--n", "3"]
             2,
             id="simulate-too-many-clusters",
         ),
+        pytest.param(["kfun", "--in", "{huge}", "--inset", "0.13"], 1, id="kfun-huge-coordinate"),
+        pytest.param(["dist", "--in", "{huge}"], 1, id="dist-huge-coordinate"),
+        pytest.param([*_KFUN, *_TWO_MILLION_CELLS], 2, id="kfun-too-many-cells"),
+        pytest.param([*_KFUN, "--spacing", "1e-3"], 2, id="kfun-too-many-atoms-per-fiber"),
+        pytest.param([*_DIST, "--spacing", "1e-3"], 2, id="dist-too-many-atoms-per-fiber"),
+        # flag values are checked before the input file is read
+        pytest.param(["kfun", "--in", "{missing}", "--inset", "0", "--p", "0"], 2, id="kfun-p-0"),
+        pytest.param(
+            ["kfun", "--in", "{missing}", "--inset", "0", "--t-grid", "5:1:1"],
+            2,
+            id="kfun-descending-grid",
+        ),
+        pytest.param(
+            ["kfun", "--in", "{missing}", "--inset", "0", *_TWO_MILLION_CELLS],
+            2,
+            id="kfun-too-many-cells-unread",
+        ),
+        pytest.param(["dist", "--in", "{missing}", "--p", "0"], 2, id="dist-p-0"),
     ],
 )
 def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     malformed = tmp_path / "bad.fib"
     malformed.write_text("not a fiber file\n")
+    huge = tmp_path / "huge.fib"
+    huge.write_text(_HUGE)
     out = tmp_path / "out"
     unwritable = tmp_path / "missing" / "out"
-    paths = {"{data}": dataset_file, "{malformed}": malformed, "{unwritable}": unwritable}
+    paths = {
+        "{data}": dataset_file,
+        "{malformed}": malformed,
+        "{huge}": huge,
+        "{missing}": tmp_path / "missing.fib",
+        "{unwritable}": unwritable,
+    }
     argv = [str(paths.get(a, a)) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(out)]
@@ -540,6 +586,76 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     assert captured.err.startswith(f"fiberk {argv[0]}: ")
     assert captured.err.count("\n") == 1
     assert not out.exists() and not unwritable.parent.exists()
+
+
+@pytest.mark.parametrize("target", ["no-such-directory", "directory"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_write_error_names_the_output(dataset_file, tmp_path, capsys, command, target):
+    # a missing directory fails in mkstemp, a directory as target in the
+    # final replace; either way the message names --out, not the temp file
+    if target == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    else:
+        out = tmp_path / "no" / "such" / "out"
+    argv = [str(dataset_file) if a == "{data}" else a for a in _COMMANDS[command]]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fiberk {command}: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert ".fiberk-tmp-" not in err
+    assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".fiberk-tmp-")]
+
+
+@pytest.mark.parametrize(
+    "command, module, name, value, message",
+    [
+        pytest.param(
+            _COMMANDS["kfun"], kfunction, "MAX_K_CELLS", 99,
+            "a 10 x 10 (t, s) grid has 100 cells, more than 99", id="kfun-cells",
+        ),
+        pytest.param(
+            _COMMANDS["kfun"], backends, "MAX_PAIR_EVALS", 24 * 24 - 1,
+            "fiber 0: spacing 1.66667 gives 24 atoms, more than 23 per fiber",
+            id="kfun-atoms-per-fiber",
+        ),
+        pytest.param(
+            _COMMANDS["dist"], backends, "MAX_PAIR_EVALS", 24 * 24 - 1,
+            "fiber 0: spacing 1.66667 gives 24 atoms, more than 23 per fiber",
+            id="dist-atoms-per-fiber",
+        ),
+        pytest.param(
+            _COMMANDS["kfun"], kfunction, "MAX_TOTAL_ATOMS", 100,
+            "fiber 4: spacing 1.66667 brings the atom total to 120, more than 100 in total",
+            id="kfun-atom-total",
+        ),
+        pytest.param(
+            _COMMANDS["dist"], kfunction, "MAX_TOTAL_ATOMS", 100,
+            "fiber 4: spacing 1.66667 brings the atom total to 120, more than 100 in total",
+            id="dist-atom-total",
+        ),
+    ],
+)
+def test_size_limits_stop_the_run_early(
+    dataset_file, tmp_path, capsys, monkeypatch, command, module, name, value, message
+):
+    # 40 fibers of 24 atoms each at the default spacing; each limit lowered
+    # just below them stops the run with exit 2 before the pair sums
+    monkeypatch.setattr(module, name, value)
+    monkeypatch.setattr(backends, "inner", None)
+    monkeypatch.setattr(backends, "self_norms_sq", None)
+    out = tmp_path / "out.csv"
+    argv = [str(dataset_file) if a == "{data}" else a for a in command]
+    tracemalloc.start()
+    try:
+        code = run([*argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"fiberk {command[0]}: {message}\n"
+    assert peak < 2**21
+    assert not out.exists()
 
 
 def test_package_lists_each_public_name_once():

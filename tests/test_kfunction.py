@@ -23,7 +23,7 @@ from fiberk import (
     pair_distances,
     translate,
 )
-from fiberk import kfunction
+from fiberk import fiber_core, kfunction
 from fiberk.kfunction import _candidate_pairs, saturation_bound
 
 from conftest import all_pairs_reference
@@ -55,6 +55,14 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(np.ones(3), np.zeros(3))
 
+    def test_corners_share_the_fiber_coordinate_bound(self):
+        b = fiber_core.MAX_COORDINATE
+        assert Window(np.full(3, -b), np.full(3, b)).volume == pytest.approx(8 * b**3)
+        with pytest.raises(ValueError, match="within"):
+            Window(np.zeros(3), np.full(3, 1e200))
+        with pytest.raises(ValueError, match="finite"):
+            Window(np.zeros(3), np.array([1.0, np.nan, 1.0]))
+
 
 class TestKConfig:
     def test_rejects_unsorted_grid(self):
@@ -67,6 +75,39 @@ class TestKConfig:
 
     def test_default_spacing_is_sigma_over_20(self):
         assert small_config().resolved_spacing == pytest.approx(PAPER.sigma / 20.0)
+
+    def test_cell_limit_is_inclusive(self):
+        assert kfunction.MAX_K_CELLS == 10**6
+        grid = np.arange(1.0, 1001.0)
+        small_config(t_grid=grid, s_grid=grid)
+        with pytest.raises(ValueError, match="1001 x 1000 .* 1001000 cells, more than 1000000"):
+            small_config(t_grid=np.arange(1.0, 1002.0), s_grid=grid)
+
+
+class TestAtomLimits:
+    def fibers(self, n):
+        return [line_at(10.0 * i, 0, 0, str(i), length=20.0) for i in range(n)]
+
+    def test_atoms_per_fiber(self, monkeypatch):
+        # 20 / (sigma / 20) -> 12 atoms per fiber, so one pair block has 144
+        monkeypatch.setattr(kfunction.backends, "MAX_PAIR_EVALS", 144)
+        k_function(self.fibers(3), small_config(), Window(np.full(3, -50.0), np.full(3, 50.0)))
+        monkeypatch.setattr(kfunction.backends, "MAX_PAIR_EVALS", 143)
+        with pytest.raises(ValueError, match="fiber 0: spacing .* 12 atoms, more than 11 per"):
+            k_function(self.fibers(3), small_config(), Window(np.full(3, -50.0), np.full(3, 50.0)))
+
+    def test_atom_total_stops_before_the_next_fiber(self, monkeypatch):
+        centered = []
+        real = kfunction.center
+        monkeypatch.setattr(
+            kfunction, "center", lambda f, kind: centered.append(f.id) or real(f, kind)
+        )
+        monkeypatch.setattr(kfunction, "MAX_TOTAL_ATOMS", 3 * 12)
+        saturation_bound(self.fibers(3), small_config())
+        centered.clear()
+        with pytest.raises(ValueError, match="fiber 3: .* atom total to 48, more than 36 in"):
+            saturation_bound(self.fibers(5), small_config())
+        assert centered == ["0", "1", "2", "3"]
 
 
 class TestEstimateIntensity:
