@@ -166,7 +166,7 @@ def _csv_field(text: str) -> str:
 
 def _cmd_dist(args) -> None:
     params = KernelParams(p=args.p, sigma=args.sigma)
-    spacing = args.spacing if args.spacing is not None else params.default_spacing
+    spacing = params.resolve_spacing(args.spacing)
     fibers = read_fibers(args.infile)
     prepared = list(_centered_currents(fibers, CenterFunctionKind(args.center), spacing))
     measure = distance if args.oriented else min_distance

@@ -49,10 +49,14 @@ class KernelParams:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
 
-    @property
-    def default_spacing(self) -> float:
-        """Atom spacing used when none is given: sigma / 20."""
-        return self.sigma / 20.0
+    def resolve_spacing(self, spacing: float | None) -> float:
+        """The atom spacing to discretize at: ``spacing``, or sigma / 20 when
+        it is None. Raises ValueError unless the spacing is > 0."""
+        if spacing is None:
+            return self.sigma / 20.0
+        if not spacing > 0:  # also catches nan
+            raise ValueError("spacing must be > 0")
+        return spacing
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,8 +30,11 @@ __all__ = [
 MAX_RESAMPLE_POINTS = 10**7
 # Most pieces segment may cut one fiber into.
 MAX_SEGMENT_PIECES = MAX_RESAMPLE_POINTS
-# Largest coordinate magnitude a fiber may have. Segment lengths are computed
-# from squared coordinate differences, which overflow from about 1e154 on.
+# Largest coordinate magnitude a fiber may have, and largest extent of its
+# points along each axis. Segment lengths are computed from squared coordinate
+# differences, which overflow from about 1e154 on. A center lies within the
+# bounding box of the points, so the extent bound keeps a centered copy within
+# the coordinate bound too.
 MAX_COORDINATE = 1e100
 
 
@@ -48,10 +51,14 @@ def _validated_points(points) -> np.ndarray:
         raise ValueError("fiber points must be an (n, 3) array")
     if pts.shape[0] < 2:
         raise ValueError("a fiber needs at least 2 points")
-    if not np.abs(pts).max() <= MAX_COORDINATE:  # also catches nan
+    largest = np.abs(pts).max()
+    if not largest <= MAX_COORDINATE:  # also catches nan
         if not np.isfinite(pts).all():
             raise ValueError("fiber coordinates must be finite")
         raise ValueError(f"fiber coordinates must be within +-{MAX_COORDINATE:g}")
+    # only points beyond half the bound can span more than it
+    if largest > 0.5 * MAX_COORDINATE and np.ptp(pts, axis=0).max() > MAX_COORDINATE:
+        raise ValueError(f"fiber points must span at most {MAX_COORDINATE:g} along each axis")
     seg = pts[1:] - pts[:-1]
     if not np.einsum("ij,ij->i", seg, seg).all():
         raise ValueError("consecutive fiber points must be distinct")

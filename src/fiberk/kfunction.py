@@ -107,7 +107,7 @@ class KConfig:
     s_grid: np.ndarray
     center_kind: CenterFunctionKind = CenterFunctionKind.MASS_CENTER
     orientation_invariant: bool = True
-    spacing: float | None = None  # default kernel.default_spacing
+    spacing: float | None = None  # resolved by kernel.resolve_spacing
 
     def __post_init__(self):
         object.__setattr__(self, "t_grid", _validated_grid(self.t_grid, "t_grid"))
@@ -117,12 +117,11 @@ class KConfig:
             raise ValueError(
                 f"a {nt} x {ns} (t, s) grid has {nt * ns} cells, more than {MAX_K_CELLS}"
             )
-        if self.spacing is not None and not self.spacing > 0:
-            raise ValueError("spacing must be > 0")
+        self.kernel.resolve_spacing(self.spacing)
 
     @property
     def resolved_spacing(self) -> float:
-        return self.spacing if self.spacing is not None else self.kernel.default_spacing
+        return self.kernel.resolve_spacing(self.spacing)
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,6 +74,13 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             KernelParams(p=2.0, sigma=0.0)
 
+    def test_resolve_spacing(self):
+        assert PAPER.resolve_spacing(None) == PAPER.sigma / 20.0
+        assert PAPER.resolve_spacing(0.25) == 0.25
+        for bad in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="^spacing must be > 0$"):
+                PAPER.resolve_spacing(bad)
+
 
 class TestDiscretize:
     def test_single_chord(self):

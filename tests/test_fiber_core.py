@@ -66,6 +66,22 @@ class TestFiberValidation:
         for kind in CenterFunctionKind:
             assert np.isfinite(center(f, kind).original_center).all()
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rejects_points_spanning_more_than_the_bound(self, axis):
+        # each point is within the bound, but a centered copy would not be
+        b = fiber_core.MAX_COORDINATE
+        pts = np.zeros((3, 3))
+        pts[0, axis], pts[1, axis] = -0.5 * b, np.nextafter(0.5 * b, math.inf)
+        pts[2] = 1.0
+        with pytest.raises(ValueError, match="fiber points must span at most 1e\\+100"):
+            Fiber("x", pts)
+
+    def test_a_fiber_spanning_the_bound_centers_within_it(self):
+        b = fiber_core.MAX_COORDINATE
+        f = Fiber("x", [[-b, -b, -b], [0, 0, 0], [-b, 0, -b]])
+        for kind in CenterFunctionKind:
+            assert np.abs(center(f, kind).fiber.points).max() <= b
+
     def test_points_are_read_only(self):
         f = straight()
         with pytest.raises(ValueError):

@@ -142,6 +142,7 @@ _CORPUS = {
     "-Infinity": _VALID.replace("1 0 0", "1 0 -Infinity"),
     "overflow to inf": _VALID.replace("1 0 0", "1e999 0 0"),
     "beyond the coordinate bound": _VALID.replace("1 0 0", "1e160 0 0"),
+    "wider than the coordinate bound": _VALID.replace("1 0 0", "-1e100 1e100 -1e100"),
     "underscore digits": _VALID.replace("1 0 0", "1_0 0 0"),
     "hex float": _VALID.replace("1 0 0", "0x1p3 0 0"),
     "no-break space": _VALID.replace("1 0 0", "1\u00a00 0"),
@@ -173,6 +174,21 @@ def test_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
     p = tmp_path / "f.fib"
     p.write_bytes(text.encode())
     assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
+
+
+_WIDE = (
+    "fiberset v1 2\nfiber a 3\n-1e100 -1e100 -1e100\n1e100 1e100 1e100\n"
+    "-1e100 1e100 -1e100\nfiber b 2\n0 1 0\n1 1 0\n"
+)
+
+
+def test_read_fibers_names_a_fiber_wider_than_the_coordinate_bound(tmp_path):
+    # every coordinate is within +-1e100, but a centered copy would not be
+    p = tmp_path / "f.fib"
+    p.write_text(_WIDE)
+    want = r"f\.fib:5: invalid fiber 'a': fiber points must span at most 1e\+100 along each axis$"
+    with pytest.raises(FiberFileError, match=want):
+        read_fibers(p)
 
 
 def test_read_fibers_reports_the_first_bad_line(tmp_path):
@@ -545,6 +561,8 @@ _HUGE = "fiberset v1 2\nfiber a 2\n0 0 0\n1e160 0 0\nfiber b 2\n0 1 0\n1 1 0\n"
         ),
         pytest.param(["kfun", "--in", "{huge}", "--inset", "0.13"], 1, id="kfun-huge-coordinate"),
         pytest.param(["dist", "--in", "{huge}"], 1, id="dist-huge-coordinate"),
+        pytest.param(["kfun", "--in", "{wide}", "--inset", "0.13"], 1, id="kfun-wide-fiber"),
+        pytest.param(["dist", "--in", "{wide}"], 1, id="dist-wide-fiber"),
         pytest.param([*_KFUN, *_TWO_MILLION_CELLS], 2, id="kfun-too-many-cells"),
         pytest.param([*_KFUN, "--spacing", "1e-3"], 2, id="kfun-too-many-atoms-per-fiber"),
         pytest.param([*_DIST, "--spacing", "1e-3"], 2, id="dist-too-many-atoms-per-fiber"),
@@ -561,6 +579,9 @@ _HUGE = "fiberset v1 2\nfiber a 2\n0 0 0\n1e160 0 0\nfiber b 2\n0 1 0\n1 1 0\n"
             id="kfun-too-many-cells-unread",
         ),
         pytest.param(["dist", "--in", "{missing}", "--p", "0"], 2, id="dist-p-0"),
+        pytest.param(["dist", "--in", "{missing}", "--spacing", "-1"], 2, id="dist-spacing--1"),
+        pytest.param(["dist", "--in", "{missing}", "--spacing", "0"], 2, id="dist-spacing-0"),
+        pytest.param(["dist", "--in", "{missing}", "--spacing", "nan"], 2, id="dist-spacing-nan"),
     ],
 )
 def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
@@ -568,12 +589,15 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     malformed.write_text("not a fiber file\n")
     huge = tmp_path / "huge.fib"
     huge.write_text(_HUGE)
+    wide = tmp_path / "wide.fib"
+    wide.write_text(_WIDE)
     out = tmp_path / "out"
     unwritable = tmp_path / "missing" / "out"
     paths = {
         "{data}": dataset_file,
         "{malformed}": malformed,
         "{huge}": huge,
+        "{wide}": wide,
         "{missing}": tmp_path / "missing.fib",
         "{unwritable}": unwritable,
     }
@@ -586,6 +610,15 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     assert captured.err.startswith(f"fiberk {argv[0]}: ")
     assert captured.err.count("\n") == 1
     assert not out.exists() and not unwritable.parent.exists()
+
+
+def test_dist_and_kfun_reject_a_spacing_alike_before_reading(tmp_path, capsys):
+    missing, out = str(tmp_path / "missing.fib"), str(tmp_path / "out")
+    flags = ["--in", missing, "--spacing", "-1", "--out", out]
+    assert run(["dist", *flags]) == 2
+    assert run(["kfun", *flags, "--inset", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "fiberk dist: spacing must be > 0\nfiberk kfun: spacing must be > 0\n"
 
 
 @pytest.mark.parametrize("target", ["no-such-directory", "directory"])
