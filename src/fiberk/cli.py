@@ -15,13 +15,14 @@ import sys
 import numpy as np
 
 from .currents import KernelParams, distance, min_distance
-from .fiber_core import CenterFunctionKind, arclength, segment
+from .fiber_core import CenterFunctionKind, _piece_count, arclength, segment
 from .fileio import FiberFileError, read_fibers, write_fibers, write_kcsv, _atomic_write
 from .kfunction import (
     MAX_K_CELLS,
     EmptyWindowError,
     KConfig,
     Window,
+    _center_distances,
     _centered_currents,
     inset_window,
     k_function,
@@ -137,11 +138,11 @@ def _cmd_kfun(args) -> None:
     fibers = read_fibers(args.infile)
     if args.segment_length is not None:
         if args.segment_length > 0:
-            # Python floats, so a ratio that overflows is inf; segment bounds
-            # each fiber's pieces, this bounds their total
-            total = math.fsum(arclength(f) for f in fibers) / args.segment_length
+            # the pieces segment will cut, counted as it counts them; segment
+            # bounds each fiber's pieces, this bounds their total
+            total = sum(_piece_count(arclength(f), args.segment_length) for f in fibers)
             if not total <= MAX_TOTAL_PIECES:
-                count = math.ceil(total) if math.isfinite(total) else "infinitely many"
+                count = total if math.isfinite(total) else "infinitely many"
                 raise ValueError(
                     f"--segment-length {args.segment_length:g} would cut the"
                     f" {len(fibers)} fibers into {count} pieces, more than"
@@ -169,14 +170,15 @@ def _cmd_dist(args) -> None:
     spacing = params.resolve_spacing(args.spacing)
     fibers = read_fibers(args.infile)
     prepared = list(_centered_currents(fibers, CenterFunctionKind(args.center), spacing))
+    centers = np.array([c for c, _ in prepared]).reshape(-1, 3)
+    currents = [current for _, current in prepared]
     measure = distance if args.oriented else min_distance
     ids = [_csv_field(f.id) for f in fibers]
     rows = ["id_a,id_b,center_dist,shape_dist"]
-    for i, (center_i, current_i) in enumerate(prepared):
-        for j in range(i + 1, len(prepared)):
-            center_j, current_j = prepared[j]
-            cd = float(np.linalg.norm(center_i - center_j))
-            sd = measure(current_i, current_j, params)
+    for i, current_i in enumerate(currents):
+        center_dists = _center_distances(centers[i], centers[i + 1 :]).tolist()
+        for j, cd in enumerate(center_dists, start=i + 1):
+            sd = measure(current_i, currents[j], params)
             rows.append(f"{ids[i]},{ids[j]},{cd:.17g},{sd:.17g}")
     _atomic_write(args.out, "\n".join(rows) + "\n")
 

@@ -127,8 +127,9 @@ def _points_at(pts: np.ndarray, cum: np.ndarray, s) -> np.ndarray:
 
 
 def arclength(fiber: Fiber) -> float:
-    """Total Euclidean length of the polyline."""
-    return float(_seg_lengths(fiber.points).sum())
+    """Total Euclidean length of the polyline: the last cumulative length,
+    the total that ``resample`` and ``segment`` cut by."""
+    return float(_cumlen(fiber.points)[-1])
 
 
 def resample(fiber: Fiber, spacing: float) -> Fiber:
@@ -192,6 +193,15 @@ def reverse(fiber: Fiber) -> Fiber:
     return Fiber(fiber.id, fiber.points[::-1])
 
 
+def _piece_count(total: float, max_length: float) -> int | float:
+    """How many pieces ``segment`` cuts a fiber of arclength ``total`` into at
+    ``max_length > 0``: ``max(1, ceil(total / max_length - 1e-9))``, or inf
+    when the ratio overflows."""
+    # Python floats, so a ratio that overflows is inf without a numpy warning
+    ratio = float(total) / float(max_length) - 1e-9
+    return max(1, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
+
+
 def segment(fiber: Fiber, max_length: float) -> list[Fiber]:
     """Split by arclength into pieces of length ``max_length``.
 
@@ -204,15 +214,13 @@ def segment(fiber: Fiber, max_length: float) -> list[Fiber]:
     pts = fiber.points
     cum = _cumlen(pts)
     total = cum[-1]
-    # Python floats, so a ratio that overflows is inf without a numpy warning
-    ratio = float(total) / float(max_length) - 1e-9
-    if not ratio <= MAX_SEGMENT_PIECES:
-        count = math.ceil(ratio) if math.isfinite(ratio) else "infinitely many"
+    n = _piece_count(total, max_length)
+    if not n <= MAX_SEGMENT_PIECES:
+        count = n if math.isfinite(n) else "infinitely many"
         raise ValueError(
             f"fiber {fiber.id}: max_length {max_length:g} would cut it into {count} pieces,"
             f" more than {MAX_SEGMENT_PIECES}"
         )
-    n = max(1, math.ceil(ratio))
     if n == 1:
         return [Fiber(f"{fiber.id}.0", pts)]
     eps = 1e-9 * total

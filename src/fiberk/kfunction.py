@@ -140,13 +140,24 @@ def _centers(fibers: list[Fiber], kind: CenterFunctionKind) -> np.ndarray:
     return np.array([_center_point(f.points, kind) for f in fibers]).reshape(-1, 3)
 
 
+def _intensity(n: int, window: Window) -> float:
+    """``n / window.volume``; raises ValueError naming the volume when it has
+    underflowed to 0 or is so small that the quotient overflows."""
+    volume = window.volume
+    if not (volume > 0 and math.isfinite(n / volume)):
+        raise ValueError(
+            f"window volume {volume:.17g} is too small: the intensity {n} / volume is not finite"
+        )
+    return n / volume
+
+
 def estimate_intensity(
     fibers: list[Fiber], window: Window, kind: CenterFunctionKind
 ) -> tuple[int, float]:
     """Count fiber centers in the (half-open) window and divide by volume."""
     centers = _centers(fibers, kind)
     n = int(window.contains(centers).sum()) if len(centers) else 0
-    return n, n / window.volume
+    return n, _intensity(n, window)
 
 
 def csr_reference(t: float) -> float:
@@ -199,6 +210,11 @@ def _center_and_pack(fibers, kind, spacing):
     return centers, np.vstack(positions), np.vstack(tangents), offsets
 
 
+def _center_distances(a, b):
+    """Euclidean distances between the rows of ``a`` and ``b`` (broadcast)."""
+    return np.linalg.norm(a - b, axis=-1)
+
+
 def _candidate_pairs(centers, in_window, rmax):
     """Unordered index pairs (i < j), sorted by (i, j), with at least one
     endpoint in the window and center distance <= rmax (rmax None: no bound).
@@ -248,7 +264,7 @@ def _candidate_pairs(centers, in_window, rmax):
         keep = in_window[a] | in_window[b]
         a, b = a[keep], b[keep]
         if rmax is not None:
-            near = np.linalg.norm(centers[a] - centers[b], axis=1) <= rmax
+            near = _center_distances(centers[a], centers[b]) <= rmax
             a, b = a[near], b[near]
         ia.append(a)
         ib.append(b)
@@ -274,7 +290,7 @@ def _pair_arrays(fibers, config: KConfig, window: Window | None, rmax):
     norms_sq = backends.self_norms_sq(pos, tan, offsets, p, sigma)
     ips = backends.pair_inner_products(pos, tan, offsets, ia, ib, p, sigma)
     shape_dist = _shape_distance(norms_sq[ia], norms_sq[ib], ips, config.orientation_invariant)
-    center_dist = np.linalg.norm(centers[ia] - centers[ib], axis=1)
+    center_dist = _center_distances(centers[ia], centers[ib])
     return in_window, ia, ib, center_dist, shape_dist
 
 
@@ -334,7 +350,7 @@ def k_function(fibers: list[Fiber], config: KConfig, window: Window) -> KResult:
         s_grid=s_grid,
         k=k,
         n_in_window=n_in,
-        intensity_hat=n_in / window.volume,
+        intensity_hat=_intensity(n_in, window),
         window=window,
     )
 

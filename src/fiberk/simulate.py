@@ -52,8 +52,11 @@ class SimConfig:
     """Dataset recipe: process, counts, geometry, and seeding.
 
     ``poisson_count`` replaces the fixed fiber count with a Poisson draw of
-    mean ``n_fibers``. ``center_seed``/``shape_seed`` override the two RNG
-    streams derived from ``seed``.
+    mean ``n_fibers`` from the center stream. Centers and shapes come from
+    two streams, the two children of ``SeedSequence(seed).spawn(2)``.
+    ``center_seed`` and ``shape_seed`` each replace ``seed`` for their own
+    stream only: an override equal to ``seed`` changes nothing, and
+    overriding one stream leaves the other as it was.
     """
 
     process: ProcessKind
@@ -191,12 +194,15 @@ def gen_clustered_line(
 
 
 def _rng_streams(config: SimConfig):
-    if config.center_seed is not None or config.shape_seed is not None:
-        c_seed = config.center_seed if config.center_seed is not None else config.seed
-        s_seed = config.shape_seed if config.shape_seed is not None else config.seed + 1
-        return np.random.default_rng(c_seed), np.random.default_rng(s_seed)
-    c_ss, s_ss = np.random.SeedSequence(config.seed).spawn(2)
-    return np.random.default_rng(c_ss), np.random.default_rng(s_ss)
+    """The center stream (k = 0) and the shape stream (k = 1): stream k is
+    ``default_rng(SeedSequence(s, spawn_key=(k,)))`` with ``s`` its override
+    or ``seed``, the k-th child of ``SeedSequence(s).spawn(2)``."""
+    return tuple(
+        np.random.default_rng(
+            np.random.SeedSequence(config.seed if s is None else s, spawn_key=(k,))
+        )
+        for k, s in enumerate((config.center_seed, config.shape_seed))
+    )
 
 
 def _uniform_in_box(box: Window, n: int, rng) -> np.ndarray:

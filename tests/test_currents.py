@@ -113,6 +113,27 @@ class TestDiscretize:
         assert np.allclose(atoms[0].weighted_tangent, [1, 0, 0])
 
 
+class TestDiscreteCurrentChecks:
+    @pytest.mark.parametrize(
+        "positions, tangents, message",
+        [
+            (np.zeros((2, 3)), np.ones((3, 3)), r"matching \(n, 3\) arrays"),
+            (np.zeros((2, 2)), np.ones((2, 2)), r"matching \(n, 3\) arrays"),
+            (np.zeros((0, 3)), np.ones((0, 3)), "at least 1 atom"),
+            ([[0.0, np.nan, 0.0]], [[1.0, 0.0, 0.0]], "atom coordinates must be finite"),
+            ([[0.0, 0.0, 0.0]], [[1.0, np.inf, 0.0]], "atom coordinates must be finite"),
+            ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "nonzero"),
+        ],
+        ids=[
+            "tangent-count", "two-columns", "no-atoms", "nan-position", "inf-tangent",
+            "zero-tangent",
+        ],
+    )
+    def test_rejects(self, positions, tangents, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteCurrent(np.asarray(positions), np.asarray(tangents))
+
+
 class TestInnerProduct:
     def test_same_position_unit_tangents(self):
         u = np.array([1.0, 0, 0])

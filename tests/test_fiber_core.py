@@ -102,6 +102,13 @@ class TestArclength:
         oracle = float(segs[::-1].sum())
         assert arclength(f) == pytest.approx(oracle, rel=1e-12)
 
+    def test_is_the_total_resample_and_segment_cut_by(self):
+        # a pairwise sum of the segment lengths differs in the last bits on
+        # most of these fibers
+        cfg = SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=100, seed=1)
+        for f in make_dataset(cfg):
+            assert arclength(f) == fiber_core._cumlen(f.points)[-1]
+
 
 class TestResample:
     def test_uniform_line(self):
@@ -246,6 +253,14 @@ class TestSegment:
         assert len(segment(straight(40.0), 10.0)) == 4
         with pytest.raises(ValueError, match="into 5 pieces, more than 4"):
             segment(straight(40.0), 9.9)
+
+    def test_piece_count_is_the_number_of_pieces(self, rng):
+        f = random_polyline(rng, n_pts=50)
+        total = arclength(f)
+        for divisor in (0.5, 1.0, 2.0, 3.0, 4.7, 100.0):
+            for max_length in (total / divisor, np.nextafter(total / divisor, 0.0)):
+                assert fiber_core._piece_count(total, max_length) == len(segment(f, max_length))
+        assert fiber_core._piece_count(total, 5e-324) == math.inf
 
     def test_matches_per_piece_reference_on_simulated_fibers(self):
         fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=20, seed=5))

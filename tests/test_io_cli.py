@@ -109,6 +109,12 @@ class TestFiberFile:
             write_fibers([Fiber("", [[0, 0, 0], [1, 0, 0]])], p)
         assert not p.exists()
 
+    def test_id_with_whitespace_rejected_on_write(self, tmp_path):
+        p = tmp_path / "f.fib"
+        with pytest.raises(ValueError, match=r"fiber id 'a b' contains whitespace"):
+            write_fibers([Fiber("a b", [[0, 0, 0], [1, 0, 0]])], p)
+        assert not p.exists()
+
     def test_read_then_write_reproduces_the_bytes(self, tmp_path):
         fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=20, seed=4))
         a, b = tmp_path / "a.fib", tmp_path / "b.fib"
@@ -160,6 +166,9 @@ _CORPUS = {
     "trailing content": _VALID + "extra\n",
     "trailing blank line": _VALID + "\n",
     "negative fiber count": "fiberset v1 -2\n",
+    "bad fiber count": "fiberset v1 two\n",
+    "not a fiber record": _VALID.replace("fiber b 2", "fibre b 2"),
+    "bad point count": _VALID.replace("fiber b 2", "fiber b two"),
     "negative point count": _VALID.replace("fiber b 2", "fiber b -2"),
     "CRLF endings": _VALID.replace("\n", "\r\n"),
     "CR endings": _VALID.replace("\n", "\r"),
@@ -174,6 +183,21 @@ def test_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
     p = tmp_path / "f.fib"
     p.write_bytes(text.encode())
     assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("bad fiber count", r":1: bad fiber count 'two'$"),
+        ("not a fiber record", r":6: expected 'fiber <id> <n_points>', got 'fibre b 2'$"),
+        ("bad point count", r":6: bad point count 'two'$"),
+    ],
+)
+def test_read_fibers_names_a_bad_record(tmp_path, name, message):
+    p = tmp_path / "f.fib"
+    p.write_bytes(_CORPUS[name].encode())
+    with pytest.raises(FiberFileError, match=message):
+        read_fibers(p)
 
 
 _WIDE = (
@@ -240,6 +264,19 @@ def test_property_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
 
 
 class TestKcsvFile:
+    def test_missing_header(self, tmp_path):
+        p = tmp_path / "k.csv"
+        p.write_text("1,2,0.5\n")
+        with pytest.raises(ValueError, match=r"k\.csv: missing 't,s,k' header"):
+            read_kcsv(p)
+
+    def test_row_count_must_fill_the_grid(self, tmp_path):
+        p = tmp_path / "k.csv"
+        # three rows of a 2 x 2 grid
+        p.write_text("t,s,k\n1,10,0.1\n2,10,0.2\n1,20,0.3\n")
+        with pytest.raises(ValueError, match=r"k\.csv: row count does not match grid"):
+            read_kcsv(p)
+
     def test_short_row_cites_line(self, tmp_path):
         p = tmp_path / "k.csv"
         p.write_text("t,s,k\n1,2,0.5\n1,3\n")
@@ -420,6 +457,33 @@ class TestCliKfun:
         assert "into 1200000 pieces, more than 1000000 in total" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_total_pieces_bound_is_exact(self, monkeypatch, tmp_path, capsys):
+        # 3 fibers of length 1.5 at L = 1 are cut into 2 pieces each: 6 in
+        # all, although their total length is only 4.5 L
+        fibers = [Fiber(str(i), [[0.0, i, i], [1.5, i, i]]) for i in range(3)]
+        src = tmp_path / "three.fib"
+        write_fibers(fibers, src)
+        out = tmp_path / "k.csv"
+        argv = [
+            "kfun", "--in", str(src), "--window=-1,-1,-1,3,3,3", "--segment-length", "1",
+            "--out", str(out),
+        ]
+        def no_cut(*args):
+            raise AssertionError("segment called")
+
+        monkeypatch.setattr(cli, "MAX_TOTAL_PIECES", 5)
+        monkeypatch.setattr(cli, "segment", no_cut)
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "fiberk kfun: --segment-length 1 would cut the 3 fibers into 6 pieces,"
+            " more than 5 in total\n"
+        )
+        assert not out.exists()
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_TOTAL_PIECES", 6)
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("N=6 ")
+
     @pytest.mark.parametrize("length", ["0", "-1", "nan"])
     def test_nonpositive_segment_length_exit_2(self, dataset_file, tmp_path, length, capsys):
         out = tmp_path / "k.csv"
@@ -496,10 +560,13 @@ def _dist_csv_per_call(path, p, oriented) -> bytes:
     params = KernelParams(p=p, sigma=cli.DEFAULT_SIGMA)
     currents = [discretize(c.fiber, params.sigma / 20.0) for c in centered]
     measure = distance_per_call if oriented else min_distance_per_call
+    centers = np.array([c.original_center for c in centered])
     rows = ["id_a,id_b,center_dist,shape_dist"]
     for i in range(len(fibers)):
+        # one row of center distances at a time, as kfun's pair arrays take them
+        row = np.linalg.norm(centers[i] - centers[i + 1 :], axis=1)
         for j in range(i + 1, len(fibers)):
-            cd = float(np.linalg.norm(centered[i].original_center - centered[j].original_center))
+            cd = float(row[j - i - 1])
             sd = measure(currents[i], currents[j], params)
             rows.append(f"{fibers[i].id},{fibers[j].id},{cd:.17g},{sd:.17g}")
     return ("\n".join(rows) + "\n").encode()
@@ -511,6 +578,10 @@ _DIST = ["dist", "--in", "{data}"]
 _COMMANDS = {"simulate": _SIMULATE, "kfun": _KFUN, "dist": _DIST}
 _TWO_MILLION_CELLS = ["--t-grid", "1:2000:1", "--s-grid", "1:1000:1"]
 _HUGE = "fiberset v1 2\nfiber a 2\n0 0 0\n1e160 0 0\nfiber b 2\n0 1 0\n1 1 0\n"
+_TINY = (
+    "fiberset v1 2\nfiber a 2\n1e-110 1e-110 1e-110\n5e-110 1e-110 1e-110\n"
+    "fiber b 2\n1e-110 3e-110 1e-110\n5e-110 3e-110 1e-110\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -563,6 +634,18 @@ _HUGE = "fiberset v1 2\nfiber a 2\n0 0 0\n1e160 0 0\nfiber b 2\n0 1 0\n1 1 0\n"
         pytest.param(["dist", "--in", "{huge}"], 1, id="dist-huge-coordinate"),
         pytest.param(["kfun", "--in", "{wide}", "--inset", "0.13"], 1, id="kfun-wide-fiber"),
         pytest.param(["dist", "--in", "{wide}"], 1, id="dist-wide-fiber"),
+        # window volumes of 1e-321 (subnormal: 2 / volume overflows) and 1e-327
+        # (underflows to 0) give no finite intensity
+        pytest.param(
+            ["kfun", "--in", "{tiny}", "--window=0,0,0,1e-107,1e-107,1e-107"],
+            2,
+            id="kfun-window-volume-subnormal",
+        ),
+        pytest.param(
+            ["kfun", "--in", "{tiny}", "--window=0,0,0,1e-109,1e-109,1e-109"],
+            2,
+            id="kfun-window-volume-zero",
+        ),
         pytest.param([*_KFUN, *_TWO_MILLION_CELLS], 2, id="kfun-too-many-cells"),
         pytest.param([*_KFUN, "--spacing", "1e-3"], 2, id="kfun-too-many-atoms-per-fiber"),
         pytest.param([*_DIST, "--spacing", "1e-3"], 2, id="dist-too-many-atoms-per-fiber"),
@@ -591,6 +674,8 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     huge.write_text(_HUGE)
     wide = tmp_path / "wide.fib"
     wide.write_text(_WIDE)
+    tiny = tmp_path / "tiny.fib"
+    tiny.write_text(_TINY)
     out = tmp_path / "out"
     unwritable = tmp_path / "missing" / "out"
     paths = {
@@ -598,6 +683,7 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
         "{malformed}": malformed,
         "{huge}": huge,
         "{wide}": wide,
+        "{tiny}": tiny,
         "{missing}": tmp_path / "missing.fib",
         "{unwritable}": unwritable,
     }
@@ -610,6 +696,38 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     assert captured.err.startswith(f"fiberk {argv[0]}: ")
     assert captured.err.count("\n") == 1
     assert not out.exists() and not unwritable.parent.exists()
+
+
+_BOX_FIELDS = "box must be 'x0,y0,z0,x1,y1,z1'"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kfun", "--in", "{data}", "--window=0,0,0,1,1"], f"argument --window: {_BOX_FIELDS}"),
+        (
+            ["kfun", "--in", "{data}", "--window=0,0,0,1,1,x"],
+            "argument --window: bad box value in '0,0,0,1,1,x'",
+        ),
+        (
+            ["kfun", "--in", "{data}", "--window=1,0,0,0,1,1"],
+            "argument --window: window must satisfy lower < upper componentwise",
+        ),
+        ([*_KFUN, "--t-grid", "1:5"], "argument --t-grid: grid must be 'start:stop:step'"),
+        ([*_KFUN, "--s-grid", "1:x:1"], "argument --s-grid: bad grid value in '1:x:1'"),
+        ([*_SIMULATE, "--box=0,0,0,1,1,1,1"], f"argument --box: {_BOX_FIELDS}"),
+    ],
+    ids=[
+        "window-fields", "window-value", "window-order", "grid-fields", "grid-value",
+        "box-fields",
+    ],
+)
+def test_malformed_box_or_grid_exit_2(dataset_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [str(dataset_file) if a == "{data}" else a for a in argv]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"fiberk {argv[0]}: error: {message}"
+    assert not out.exists()
 
 
 def test_dist_and_kfun_reject_a_spacing_alike_before_reading(tmp_path, capsys):
@@ -712,6 +830,22 @@ class TestCliDist:
         flags = ["--p", p] + (["--oriented"] if oriented else [])
         assert run(["dist", "--in", str(brownian_file), "--out", str(out), *flags]) == 0
         assert out.read_bytes() == _dist_csv_per_call(brownian_file, float(p), oriented)
+
+    def test_center_distances_are_kfuns(self, tmp_path):
+        # kfun's pair arrays take every center distance with one formula;
+        # dist must write the same bits, in the same (i, j) order
+        src, out = tmp_path / "b60.fib", tmp_path / "d.csv"
+        fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=60, seed=1))
+        write_fibers(fibers, src)
+        assert run(["dist", "--in", str(src), "--p", "1", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        config = kfunction.KConfig(
+            kernel=KernelParams(p=1.0, sigma=cli.DEFAULT_SIGMA), t_grid=[1.0], s_grid=[1.0]
+        )
+        _, ia, ib, cd, _ = kfunction._pair_arrays(fibers, config, None, None)
+        want_ids = [(fibers[i].id, fibers[j].id) for i, j in zip(ia, ib)]
+        assert [tuple(r[:2]) for r in rows] == want_ids
+        assert np.array_equal([float(r[2]) for r in rows], cd)
 
     def test_one_kernel_sum_per_pair_and_per_fiber(self, monkeypatch, tmp_path):
         # 10 fibers: 45 pair sums and 10 self sums, in every invocation; a

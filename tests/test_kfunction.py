@@ -16,7 +16,9 @@ from fiberk import (
     Window,
     center,
     csr_reference,
+    discretize,
     estimate_intensity,
+    inner_product,
     inset_window,
     k_function,
     make_dataset,
@@ -54,6 +56,8 @@ class TestWindow:
     def test_invalid_corners(self):
         with pytest.raises(ValueError):
             Window(np.ones(3), np.zeros(3))
+        with pytest.raises(ValueError, match="window corners must be 3-vectors"):
+            Window(np.zeros(2), np.ones(3))
 
     def test_corners_share_the_fiber_coordinate_bound(self):
         b = fiber_core.MAX_COORDINATE
@@ -133,6 +137,17 @@ class TestEstimateIntensity:
         assert abs(n - mean) <= 3 * sd
 
 
+    @pytest.mark.parametrize("e", [-350, -365])
+    def test_a_volume_too_small_for_the_count_is_refused(self, e):
+        # 2^-350: the volume is subnormal and n / volume overflows; 2^-365:
+        # the volume underflows to 0
+        fibers = _scaled(_dataset(seed=1, n=150, process=ProcessKind.CLUSTERED_LINES), e)
+        w = inset_window(fibers, MASS, 0.13)
+        message = r"^window volume \S+ is too small: the intensity \d+ / volume is not finite$"
+        with pytest.raises(ValueError, match=message):
+            estimate_intensity(fibers, w, MASS)
+
+
 class TestCsrReference:
     def test_unit_ball(self):
         assert csr_reference(1.0) == pytest.approx(4.18879020, abs=1e-7)
@@ -175,6 +190,47 @@ class TestKFunctionBasics:
 
 def _dataset(seed=5, n=60, process=ProcessKind.UNIFORM_BROWNIAN):
     return make_dataset(SimConfig(process=process, n_fibers=n, seed=seed))
+
+
+def _scaled(fibers, e):
+    return [Fiber(f.id, f.points * 2.0**e) for f in fibers]
+
+
+class TestScaleInvariance:
+    """Coordinates, sigma, spacing, t and s scaled by c = 2^e: every product
+    and quotient scales exactly, so K is bit-identical and the intensity
+    exactly c^-3 times as large, until the window volume leaves the normal
+    range."""
+
+    @staticmethod
+    def run(fibers, p, e):
+        c = 2.0**e
+        sigma = 100.0 / 3.0
+        cfg = KConfig(
+            kernel=KernelParams(p=p, sigma=sigma * c),
+            t_grid=np.arange(5.0, 51.0, 5.0) * c,
+            s_grid=np.arange(10.0, 101.0, 10.0) * c,
+            spacing=sigma / 20.0 * c,
+        )
+        scaled = _scaled(fibers, e)
+        return k_function(scaled, cfg, inset_window(scaled, MASS, 0.13))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize(
+        "process",
+        [ProcessKind.UNIFORM_BROWNIAN, ProcessKind.UNIFORM_LINES, ProcessKind.CLUSTERED_LINES],
+    )
+    def test_k_and_intensity_scale_exactly(self, process, p):
+        fibers = _dataset(seed=1, n=150, process=process)
+        want = self.run(fibers, p, 0)
+        assert want.k[-1, -1] > want.k[0, 0] > 0
+        for e in (-345, -300, -100, -7, 9, 100, 300):
+            got = self.run(fibers, p, e)
+            assert np.array_equal(got.k, want.k)
+            assert got.intensity_hat == math.ldexp(want.intensity_hat, -3 * e)
+        for e in (-350, -365):
+            with pytest.raises(ValueError, match=r"^window volume \S+ is too small"):
+                self.run(fibers, p, e)
 
 
 class TestKFunctionProperties:
@@ -232,6 +288,13 @@ class TestKFunctionProperties:
         with pytest.raises(ValueError, match="needs at least one fiber"):
             saturation_bound([], small_config())
 
+    def test_saturation_bound_of_one_fiber_pairs_it_with_itself(self):
+        f = line_at(50, 50, 50, "a")
+        cfg = small_config()
+        cur = discretize(center(f, MASS).fiber, cfg.resolved_spacing)
+        norm_sq = inner_product(cur, cur, cfg.kernel)
+        assert saturation_bound([f], cfg) == pytest.approx(2.0 * math.sqrt(norm_sq), rel=1e-6)
+
 
 def _assert_same_pairs(got, want):
     assert got[0].dtype == got[1].dtype == np.int64
@@ -287,6 +350,13 @@ class TestPairDistances:
         recs = pair_distances(fibers, small_config(t_grid=(50.0,)), w)
         assert [r[2][0] for r in recs] == ["inside"]
 
+    def test_no_window_and_no_bound_give_every_ordered_pair(self):
+        fibers = [line_at(10.0 * i, 0, 0, str(i)) for i in range(4)] + [line_at(1e6, 0, 0, "far")]
+        recs = pair_distances(fibers, small_config(), None, max_center_distance=None)
+        ids = [f.id for f in fibers]
+        assert [r[2] for r in recs] == sorted((a, b) for a in ids for b in ids if a != b)
+        assert max(r[0] for r in recs) == pytest.approx(1e6)
+
     def test_recount_matches_k_function(self):
         fibers = _dataset(n=50)
         cfg = small_config(t_grid=(10.0, 30.0, 60.0), s_grid=(20.0, 60.0, 200.0))
@@ -318,3 +388,12 @@ class TestInsetWindow:
         w = inset_window(fibers, kind, 0.13)
         assert np.array_equal(w.lower, lo + 0.13 * (hi - lo))
         assert np.array_equal(w.upper, hi - 0.13 * (hi - lo))
+
+    def test_needs_a_fiber(self):
+        with pytest.raises(ValueError, match="empty fiber list"):
+            inset_window([], MASS, 0.13)
+
+    def test_centers_in_one_plane_are_refused(self):
+        fibers = [line_at(10, 10, 50, "a"), line_at(20, 30, 50, "b"), line_at(40, 20, 50, "c")]
+        with pytest.raises(ValueError, match="degenerate center bounding box"):
+            inset_window(fibers, MASS, 0.13)

@@ -226,8 +226,13 @@ class TestSimConfigBounds:
 
         monkeypatch.setattr(simulate, "MAX_TOTAL_POINTS", 100)
         monkeypatch.setattr(simulate, "sample_centers", no_centers)
-        # make_dataset's first draw from the center stream is the count
-        seed = next(s for s in range(100) if np.random.default_rng(s).poisson(50) > 50)
+        # make_dataset's first draw from the center stream is the count; the
+        # center stream of center_seed s is SeedSequence(s, spawn_key=(0,))
+        seed = next(
+            s
+            for s in range(100)
+            if np.random.default_rng(np.random.SeedSequence(s, spawn_key=(0,))).poisson(50) > 50
+        )
         cfg = SimConfig(
             process=ProcessKind.UNIFORM_LINES,
             n_fibers=50,
@@ -237,3 +242,38 @@ class TestSimConfigBounds:
         )
         with pytest.raises(ValueError, match="more than 100 in total"):
             make_dataset(cfg)
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("overrides", [{}, {"center_seed": 5}, {"shape_seed": 6}])
+    def test_streams_are_the_spawned_children(self, overrides):
+        cfg = SimConfig(process=ProcessKind.UNIFORM_LINES, n_fibers=3, seed=4, **overrides)
+        seeds = (overrides.get("center_seed", 4), overrides.get("shape_seed", 4))
+        for k, (stream, seed) in enumerate(zip(simulate._rng_streams(cfg), seeds)):
+            child = np.random.SeedSequence(seed).spawn(2)[k]
+            assert np.array_equal(stream.random(8), np.random.default_rng(child).random(8))
+
+    @pytest.mark.parametrize("process", list(ProcessKind))
+    def test_an_override_equal_to_the_seed_changes_nothing(self, process):
+        base = dict(process=process, n_fibers=12, seed=3)
+        want = make_dataset(SimConfig(**base))
+        assert make_dataset(SimConfig(center_seed=3, **base)) == want
+        assert make_dataset(SimConfig(shape_seed=3, **base)) == want
+
+    @pytest.mark.parametrize("process", list(ProcessKind))
+    def test_each_override_moves_only_its_own_stream(self, process):
+        def centers_and_shapes(**overrides):
+            cfg = SimConfig(process=process, n_fibers=12, seed=3, **overrides)
+            parts = [center(f, MASS) for f in make_dataset(cfg)]
+            return (
+                np.array([c.original_center for c in parts]),
+                np.array([c.fiber.points for c in parts]),
+            )
+
+        centers, shapes = centers_and_shapes()
+        new_centers, same_shapes = centers_and_shapes(center_seed=8)
+        assert np.allclose(same_shapes, shapes, atol=1e-9)
+        assert not np.allclose(new_centers, centers, atol=1e-9)
+        same_centers, new_shapes = centers_and_shapes(shape_seed=8)
+        assert np.allclose(same_centers, centers, atol=1e-9)
+        assert not np.allclose(new_shapes, shapes, atol=1e-9)
