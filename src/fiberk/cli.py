@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .currents import KernelParams, distance, min_distance
-from .fiber_core import CenterFunctionKind, _piece_count, arclength, segment
+from . import fiber_core
+from .fiber_core import CenterFunctionKind, _count_text, _piece_count, arclength, segment
 from .fileio import FiberFileError, read_fibers, write_fibers, write_kcsv, _atomic_write
 from .kfunction import (
     MAX_K_CELLS,
@@ -30,11 +31,6 @@ from .kfunction import (
 from .simulate import ProcessKind, SimConfig, make_dataset
 
 DEFAULT_SIGMA = 100.0 / 3.0
-# Most pieces kfun --segment-length may cut all fibers into together. Each
-# piece costs about 0.8 kB of peak memory and 0.1 ms through kfun (3 fibers
-# cut into 10,000 to 100,000 pieces, numpy 2.4 on x86-64), so an admitted run
-# stays under about 1 GiB.
-MAX_TOTAL_PIECES = 10**6
 
 
 def _parse_box(text: str) -> Window:
@@ -138,15 +134,14 @@ def _cmd_kfun(args) -> None:
     fibers = read_fibers(args.infile)
     if args.segment_length is not None:
         if args.segment_length > 0:
-            # the pieces segment will cut, counted as it counts them; segment
-            # bounds each fiber's pieces, this bounds their total
-            total = sum(_piece_count(arclength(f), args.segment_length) for f in fibers)
-            if not total <= MAX_TOTAL_PIECES:
-                count = total if math.isfinite(total) else "infinitely many"
+            # segment's counts, summed as floats (exact below 2**53, inf past the
+            # float range): segment bounds each fiber's pieces, this their total
+            total = sum(float(_piece_count(arclength(f), args.segment_length)) for f in fibers)
+            if not total <= fiber_core.MAX_PIECES:
                 raise ValueError(
                     f"--segment-length {args.segment_length:g} would cut the"
-                    f" {len(fibers)} fibers into {count} pieces, more than"
-                    f" {MAX_TOTAL_PIECES} in total"
+                    f" {len(fibers)} fibers into {_count_text(total)} pieces, more than"
+                    f" {fiber_core.MAX_PIECES} in total"
                 )
         fibers = [piece for f in fibers for piece in segment(f, args.segment_length)]
     window = args.window or inset_window(fibers, config.center_kind, args.inset)

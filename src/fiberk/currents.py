@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backends
-from .fiber_core import Fiber, resample
+from .fiber_core import Fiber, _resampled_points
 
 __all__ = [
     "KernelParams",
@@ -121,14 +121,12 @@ def kernel_eval(params: KernelParams, x, y) -> float:
 
 
 def discretize(fiber: Fiber, spacing: float) -> DiscreteCurrent:
-    """Resample at equal arclength steps <= ``spacing`` and emit one atom per
-    resampled chord: position at the chord midpoint, weighted tangent equal to
-    the chord vector."""
-    rs = resample(fiber, spacing)
-    pts = rs.points
-    positions = 0.5 * (pts[:-1] + pts[1:])
-    tangents = pts[1:] - pts[:-1]
-    return DiscreteCurrent(positions, tangents, fiber.id)
+    """Resample as ``resample`` does and emit one atom per resampled chord:
+    position at the chord midpoint, weighted tangent equal to the chord
+    vector. More atoms than one pair block may square
+    (``backends.MAX_PAIR_EVALS``) raise ValueError before any is made."""
+    pts = _resampled_points(fiber, spacing, math.isqrt(backends.MAX_PAIR_EVALS), "atoms")
+    return DiscreteCurrent(0.5 * (pts[:-1] + pts[1:]), pts[1:] - pts[:-1], fiber.id)
 
 
 def flip(current: DiscreteCurrent) -> DiscreteCurrent:

@@ -25,11 +25,11 @@ __all__ = [
 ]
 
 
-# Most points resample may give one fiber; a finer spacing raises ValueError
-# instead of allocating without bound.
-MAX_RESAMPLE_POINTS = 10**7
-# Most pieces segment may cut one fiber into.
-MAX_SEGMENT_PIECES = MAX_RESAMPLE_POINTS
+# Most steps of one resample, pieces of one segment, and pieces of all fibers
+# under kfun --segment-length. A piece costs about 0.8 kB of peak memory and
+# 0.1 ms through kfun (3 fibers cut into 10,000 to 100,000 pieces, numpy 2.4
+# on x86-64), so an admitted run stays under about 1 GiB.
+MAX_PIECES = 10**6
 # Largest coordinate magnitude a fiber may have, and largest extent of its
 # points along each axis. Segment lengths are computed from squared coordinate
 # differences, which overflow from about 1e154 on. A center lies within the
@@ -132,31 +132,53 @@ def arclength(fiber: Fiber) -> float:
     return float(_cumlen(fiber.points)[-1])
 
 
-def resample(fiber: Fiber, spacing: float) -> Fiber:
-    """Resample at equal arclength steps no larger than ``spacing``.
+def _count_text(n: int | float) -> str:
+    """A count for a message: exact below 2**53, else to 3 significant digits."""
+    return str(int(n)) if n < 2**53 else f"{n:.3g}"
 
-    Endpoints of the original polyline are preserved exactly; the output has
-    ``ceil(arclength / spacing) + 1`` points lying on the input polyline.
-    """
-    if not spacing > 0:
-        raise ValueError("spacing must be > 0")
-    pts = fiber.points
-    cum = _cumlen(pts)
-    total = cum[-1]
+
+def _piece_count(total: float, max_length: float) -> int | float:
+    """How many steps or pieces a fiber of arclength ``total`` is cut into at
+    ``max_length > 0``: ``max(1, ceil(total / max_length - 1e-9))``, or inf
+    when the ratio overflows."""
     # Python floats, so a ratio that overflows is inf without a numpy warning
-    segs = float(total) / float(spacing) - 1e-12
-    if not segs <= MAX_RESAMPLE_POINTS - 1:
-        count = math.ceil(segs) + 1 if math.isfinite(segs) else "infinitely many"
+    ratio = float(total) / float(max_length) - 1e-9
+    return max(1, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
+
+
+def _counted(fiber: Fiber, length: float, name: str, limit: int, unit: str):
+    """The cumulative arclengths of ``fiber`` and its ``_piece_count`` at
+    ``length``. Raises ValueError unless ``length`` (called ``name``) is > 0
+    and the count of ``unit`` is at most ``limit``."""
+    if not length > 0:
+        raise ValueError(f"{name} must be > 0")
+    cum = _cumlen(fiber.points)
+    n = _piece_count(cum[-1], length)
+    if not n <= limit:
         raise ValueError(
-            f"fiber {fiber.id}: spacing {spacing:g} would resample it to {count} points,"
-            f" more than {MAX_RESAMPLE_POINTS}"
+            f"fiber {fiber.id}: {name} {length:g} gives {_count_text(n)} {unit},"
+            f" more than {limit} per fiber"
         )
-    n_seg = max(1, math.ceil(segs))
-    targets = np.linspace(0.0, total, n_seg + 1)
-    out = _points_at(pts, cum, targets)
+    return cum, n
+
+
+def _resampled_points(fiber: Fiber, spacing: float, max_steps: int, unit: str) -> np.ndarray:
+    """The ``n + 1`` points of ``fiber``'s ``n`` equal arclength steps at
+    ``spacing``, endpoints exact; ``n`` is counted and bounded by ``_counted``."""
+    pts = fiber.points
+    cum, n = _counted(fiber, spacing, "spacing", max_steps, unit)
+    out = _points_at(pts, cum, np.linspace(0.0, cum[-1], n + 1))
     out[0] = pts[0]
     out[-1] = pts[-1]
-    return Fiber(fiber.id, out)
+    return out
+
+
+def resample(fiber: Fiber, spacing: float) -> Fiber:
+    """Resample at equal arclength steps no larger than ``spacing`` (up to a
+    relative 1e-9). Endpoints of the original polyline are preserved exactly;
+    the output has ``max(1, ceil(arclength / spacing - 1e-9)) + 1`` points,
+    at most ``MAX_PIECES + 1``, lying on the input polyline."""
+    return Fiber(fiber.id, _resampled_points(fiber, spacing, MAX_PIECES, "steps"))
 
 
 def _center_point(pts: np.ndarray, kind: CenterFunctionKind) -> np.ndarray:
@@ -193,15 +215,6 @@ def reverse(fiber: Fiber) -> Fiber:
     return Fiber(fiber.id, fiber.points[::-1])
 
 
-def _piece_count(total: float, max_length: float) -> int | float:
-    """How many pieces ``segment`` cuts a fiber of arclength ``total`` into at
-    ``max_length > 0``: ``max(1, ceil(total / max_length - 1e-9))``, or inf
-    when the ratio overflows."""
-    # Python floats, so a ratio that overflows is inf without a numpy warning
-    ratio = float(total) / float(max_length) - 1e-9
-    return max(1, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
-
-
 def segment(fiber: Fiber, max_length: float) -> list[Fiber]:
     """Split by arclength into pieces of length ``max_length``.
 
@@ -209,18 +222,9 @@ def segment(fiber: Fiber, max_length: float) -> list[Fiber]:
     possibly the last has arclength exactly ``max_length``. Piece ids are
     ``<parent id>.<index>``.
     """
-    if not max_length > 0:
-        raise ValueError("max_length must be > 0")
     pts = fiber.points
-    cum = _cumlen(pts)
+    cum, n = _counted(fiber, max_length, "max_length", MAX_PIECES, "pieces")
     total = cum[-1]
-    n = _piece_count(total, max_length)
-    if not n <= MAX_SEGMENT_PIECES:
-        count = n if math.isfinite(n) else "infinitely many"
-        raise ValueError(
-            f"fiber {fiber.id}: max_length {max_length:g} would cut it into {count} pieces,"
-            f" more than {MAX_SEGMENT_PIECES}"
-        )
     if n == 1:
         return [Fiber(f"{fiber.id}.0", pts)]
     eps = 1e-9 * total

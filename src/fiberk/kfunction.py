@@ -173,20 +173,13 @@ def _centered_currents(fibers, kind, spacing):
     of its centered copy. Each fiber is centered once and its centered copy is
     discretized at once, so no centered fiber outlives its atoms.
 
-    Raises ValueError before the next fiber is centered once a current has
-    more atoms than one pair block may square (``backends.MAX_PAIR_EVALS``)
-    or the atoms so far exceed ``MAX_TOTAL_ATOMS``."""
+    Raises ValueError before the next fiber is centered once the atoms so far
+    exceed ``MAX_TOTAL_ATOMS`` (``discretize`` bounds each current's)."""
     total = 0
     for f in fibers:
         c = center(f, kind)
         current = discretize(c.fiber, spacing)
-        atoms = len(current)
-        total += atoms
-        if atoms * atoms > backends.MAX_PAIR_EVALS:
-            raise ValueError(
-                f"fiber {f.id}: spacing {spacing:g} gives {atoms} atoms, more than"
-                f" {math.isqrt(backends.MAX_PAIR_EVALS)} per fiber"
-            )
+        total += len(current)
         if total > MAX_TOTAL_ATOMS:
             raise ValueError(
                 f"fiber {f.id}: spacing {spacing:g} brings the atom total to {total},"

@@ -229,7 +229,8 @@ def make_dataset(config: SimConfig) -> list[Fiber]:
     """Generate the full dataset: shapes translated to sampled centers.
 
     Deterministic given the config (including seeds); fiber ids are the
-    sequential indices as strings.
+    sequential indices as strings. Raises ValueError naming the first fiber
+    whose points collapse in floating point, at its length and center.
     """
     rng_c, rng_s = _rng_streams(config)
     n = config.n_fibers
@@ -239,16 +240,16 @@ def make_dataset(config: SimConfig) -> list[Fiber]:
     centers = sample_centers(config, rng_c, n_fibers=n)
     ppf = config.points_per_fiber
     length = config.fiber_length
-    shapes: list[Fiber] = []
+    # made one at a time, so a shape that fails is known by its index
     if config.process is ProcessKind.UNIFORM_LINES:
-        shapes = [gen_line(length, rng_s, ppf) for _ in range(n)]
+        shapes = (gen_line(length, rng_s, ppf) for _ in range(n))
     elif config.process is ProcessKind.UNIFORM_SPIRALS:
-        shapes = [gen_spiral(length, rng_s, ppf) for _ in range(n)]
+        shapes = (gen_spiral(length, rng_s, ppf) for _ in range(n))
     elif config.process is ProcessKind.UNIFORM_BROWNIAN:
-        shapes = [gen_brownian(length, rng_s, ppf) for _ in range(n)]
+        shapes = (gen_brownian(length, rng_s, ppf) for _ in range(n))
     elif config.process is ProcessKind.CLUSTERED_LINES:
         base_dirs = [_unit_vector(rng_s) for _ in range(config.n_clusters)]
-        shapes = [
+        shapes = (
             gen_clustered_line(
                 base_dirs[i % config.n_clusters],
                 config.direction_jitter_std,
@@ -257,9 +258,16 @@ def make_dataset(config: SimConfig) -> list[Fiber]:
                 ppf,
             )
             for i in range(n)
-        ]
+        )
     else:  # pragma: no cover
         raise ValueError(f"unknown process: {config.process}")
-    return [
-        Fiber(str(i), shape.points + centers[i]) for i, shape in enumerate(shapes)
-    ]
+    fibers = []
+    for i, c in enumerate(centers):
+        try:
+            points = next(shapes).points + c
+        except ValueError:  # for a valid config, only when the shape's points collapse
+            points = None
+        if points is None or not np.diff(points, axis=0).any(axis=1).all():
+            raise ValueError(f"fiber {i}: its points collapse at length {length:g} and center {c}")
+        fibers.append(Fiber(str(i), points))
+    return fibers

@@ -134,13 +134,19 @@ class TestResample:
 
     @pytest.mark.parametrize("spacing", [1e-12, 5e-324])
     def test_too_fine_spacing_fails_before_allocating(self, spacing):
-        with pytest.raises(ValueError, match=r"fiber line: .* points, more than 10000000"):
-            resample(Fiber("line", [[0, 0, 0], [40, 0, 0]]), spacing)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"fiber line: .* steps, more than 1000000 per"):
+                resample(Fiber("line", [[0, 0, 0], [40, 0, 0]]), spacing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_point_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(fiber_core, "MAX_RESAMPLE_POINTS", 5)
+        monkeypatch.setattr(fiber_core, "MAX_PIECES", 4)
         assert len(resample(straight(40.0), 10.0).points) == 5
-        with pytest.raises(ValueError, match="to 6 points, more than 5"):
+        with pytest.raises(ValueError, match="gives 5 steps, more than 4 per fiber"):
             resample(straight(40.0), 9.9)
 
     def test_output_lies_on_input_polyline(self, rng):
@@ -241,7 +247,7 @@ class TestSegment:
     def test_too_many_pieces_fails_before_allocating(self, max_length):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"fiber line: .* pieces, more than 10000000"):
+            with pytest.raises(ValueError, match=r"fiber line: .* pieces, more than 1000000 per"):
                 segment(straight(40.0), max_length)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -249,9 +255,9 @@ class TestSegment:
         assert peak < 100_000
 
     def test_piece_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(fiber_core, "MAX_SEGMENT_PIECES", 4)
+        monkeypatch.setattr(fiber_core, "MAX_PIECES", 4)
         assert len(segment(straight(40.0), 10.0)) == 4
-        with pytest.raises(ValueError, match="into 5 pieces, more than 4"):
+        with pytest.raises(ValueError, match="gives 5 pieces, more than 4 per fiber"):
             segment(straight(40.0), 9.9)
 
     def test_piece_count_is_the_number_of_pieces(self, rng):

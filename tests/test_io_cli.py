@@ -17,6 +17,7 @@ from fiberk import (
     center,
     cli,
     discretize,
+    fiber_core,
     kfunction,
     make_dataset,
     read_fibers,
@@ -413,7 +414,7 @@ class TestCliKfun:
         out = tmp_path / "k.csv"
         argv = ["kfun", "--in", str(dataset_file), "--inset", "0.13", "--spacing", "1e-12"]
         assert run([*argv, "--out", str(out)]) == 2
-        assert "more than 10000000" in capsys.readouterr().err
+        assert "atoms, more than 4096 per fiber" in capsys.readouterr().err
         assert not out.exists()
 
     def test_too_many_pieces_exit_2(self, dataset_file, tmp_path, capsys):
@@ -424,8 +425,8 @@ class TestCliKfun:
         assert not out.exists()
 
     def test_too_many_pieces_in_total_exit_2(self, tmp_path, capsys):
-        # 4,000,000 pieces per fiber is under the per-fiber limit; the
-        # 12,000,000 in total are refused before any piece is built
+        # 4,000,000 pieces per fiber; the 12,000,000 in total are refused
+        # before segment counts any fiber's pieces, or builds one
         fibers = [Fiber(str(i), [[0.0, i, 0.0], [40.0, i, 0.0]]) for i in range(3)]
         src = tmp_path / "three.fib"
         write_fibers(fibers, src)
@@ -471,7 +472,7 @@ class TestCliKfun:
         def no_cut(*args):
             raise AssertionError("segment called")
 
-        monkeypatch.setattr(cli, "MAX_TOTAL_PIECES", 5)
+        monkeypatch.setattr(fiber_core, "MAX_PIECES", 5)
         monkeypatch.setattr(cli, "segment", no_cut)
         assert run(argv) == 2
         assert capsys.readouterr().err == (
@@ -480,7 +481,7 @@ class TestCliKfun:
         )
         assert not out.exists()
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "MAX_TOTAL_PIECES", 6)
+        monkeypatch.setattr(fiber_core, "MAX_PIECES", 6)
         assert run(argv) == 0
         assert capsys.readouterr().out.startswith("N=6 ")
 
@@ -582,6 +583,7 @@ _TINY = (
     "fiberset v1 2\nfiber a 2\n1e-110 1e-110 1e-110\n5e-110 1e-110 1e-110\n"
     "fiber b 2\n1e-110 3e-110 1e-110\n5e-110 3e-110 1e-110\n"
 )
+_TWO_LINES = "fiberset v1 2\nfiber a 2\n0 0 0\n40 0 0\nfiber b 2\n0 5 0\n40 5 0\n"
 
 
 @pytest.mark.parametrize(
@@ -630,6 +632,26 @@ _TINY = (
             2,
             id="simulate-too-many-clusters",
         ),
+        # points that collapse in floats: next to a center near 1e100, or at a
+        # length of 1e-300 (exit 2, naming the fiber)
+        pytest.param(
+            [*_SIMULATE, "--box", "0,0,0,1e100,1e100,1e100"], 2, id="simulate-collapse-far-box"
+        ),
+        pytest.param(
+            ["simulate", "--process", "clustered", "--n", "3", "--cluster-std", "1e100"],
+            2,
+            id="simulate-collapse-cluster-std",
+        ),
+        pytest.param(
+            ["simulate", "--process", "brownian", "--n", "3", "--length", "1e-300"],
+            2,
+            id="simulate-collapse-brownian-short",
+        ),
+        pytest.param(
+            ["simulate", "--process", "spirals", "--n", "3", "--length", "1e-300"],
+            2,
+            id="simulate-collapse-spirals-short",
+        ),
         pytest.param(["kfun", "--in", "{huge}", "--inset", "0.13"], 1, id="kfun-huge-coordinate"),
         pytest.param(["dist", "--in", "{huge}"], 1, id="dist-huge-coordinate"),
         pytest.param(["kfun", "--in", "{wide}", "--inset", "0.13"], 1, id="kfun-wide-fiber"),
@@ -649,6 +671,13 @@ _TINY = (
         pytest.param([*_KFUN, *_TWO_MILLION_CELLS], 2, id="kfun-too-many-cells"),
         pytest.param([*_KFUN, "--spacing", "1e-3"], 2, id="kfun-too-many-atoms-per-fiber"),
         pytest.param([*_DIST, "--spacing", "1e-3"], 2, id="dist-too-many-atoms-per-fiber"),
+        # counts of 4e+301 atoms or pieces are printed to 3 digits, not 302
+        pytest.param(["dist", "--in", "{two}", "--spacing", "1e-300"], 2, id="dist-spacing-1e-300"),
+        pytest.param(
+            ["kfun", "--in", "{two}", "--inset", "0.13", "--segment-length", "1e-300"],
+            2,
+            id="kfun-segment-length-1e-300",
+        ),
         # flag values are checked before the input file is read
         pytest.param(["kfun", "--in", "{missing}", "--inset", "0", "--p", "0"], 2, id="kfun-p-0"),
         pytest.param(
@@ -676,6 +705,8 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     wide.write_text(_WIDE)
     tiny = tmp_path / "tiny.fib"
     tiny.write_text(_TINY)
+    two = tmp_path / "two.fib"
+    two.write_text(_TWO_LINES)
     out = tmp_path / "out"
     unwritable = tmp_path / "missing" / "out"
     paths = {
@@ -684,6 +715,7 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
         "{huge}": huge,
         "{wide}": wide,
         "{tiny}": tiny,
+        "{two}": two,
         "{missing}": tmp_path / "missing.fib",
         "{unwritable}": unwritable,
     }
@@ -695,6 +727,7 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     assert captured.out == ""
     assert captured.err.startswith(f"fiberk {argv[0]}: ")
     assert captured.err.count("\n") == 1
+    assert len(captured.err) < 200
     assert not out.exists() and not unwritable.parent.exists()
 
 
@@ -785,6 +818,19 @@ def test_write_error_names_the_output(dataset_file, tmp_path, capsys, command, t
             "fiber 4: spacing 1.66667 brings the atom total to 120, more than 100 in total",
             id="dist-atom-total",
         ),
+        # no limit lowered: 9,756,098 atoms of fiber 0, about 800 MB, are
+        # refused from their count before any is made
+        pytest.param(
+            [*_DIST, "--spacing", "4.1e-6"], None, None, None,
+            "fiber 0: spacing 4.1e-06 gives 9756098 atoms, more than 4096 per fiber",
+            id="dist-spacing-4.1e-6",
+        ),
+        pytest.param(
+            ["kfun", "--in", "{data}", "--window=0,0,0,100,100,100", "--spacing", "4.1e-6"],
+            None, None, None,
+            "fiber 0: spacing 4.1e-06 gives 9756098 atoms, more than 4096 per fiber",
+            id="kfun-spacing-4.1e-6",
+        ),
     ],
 )
 def test_size_limits_stop_the_run_early(
@@ -792,7 +838,8 @@ def test_size_limits_stop_the_run_early(
 ):
     # 40 fibers of 24 atoms each at the default spacing; each limit lowered
     # just below them stops the run with exit 2 before the pair sums
-    monkeypatch.setattr(module, name, value)
+    if module is not None:
+        monkeypatch.setattr(module, name, value)
     monkeypatch.setattr(backends, "inner", None)
     monkeypatch.setattr(backends, "self_norms_sq", None)
     out = tmp_path / "out.csv"

@@ -8,6 +8,7 @@ from fiberk import (
     CenterFunctionKind,
     ProcessKind,
     SimConfig,
+    Window,
     arclength,
     center,
     gen_brownian,
@@ -217,6 +218,26 @@ class TestSimConfigBounds:
             SimConfig(process=process, n_fibers=n, points_per_fiber=101, n_clusters=10)
         with pytest.raises(ValueError, match="more than 4000000 in total"):
             SimConfig(process=process, n_fibers=n + 1, points_per_fiber=100, n_clusters=10)
+
+    @pytest.mark.parametrize(
+        "overrides, length",
+        [
+            (dict(process=ProcessKind.UNIFORM_LINES, box=Window([0, 0, 0], [1e100] * 3)), 40),
+            (dict(process=ProcessKind.CLUSTERED_LINES, cluster_std=1e100), 40),
+            (dict(process=ProcessKind.UNIFORM_BROWNIAN, fiber_length=1e-300), 1e-300),
+            (dict(process=ProcessKind.UNIFORM_SPIRALS, fiber_length=1e-300), 1e-300),
+        ],
+        ids=["far-box", "cluster-std", "brownian-short", "spirals-short"],
+    )
+    def test_collapsing_points_name_the_fiber(self, overrides, length):
+        # 40-long fibers next to centers near 1e100, and 1e-300-long fibers
+        # anywhere, have consecutive points that are equal in floats
+        cfg = SimConfig(n_fibers=3, **overrides)
+        center = simulate.sample_centers(cfg, simulate._rng_streams(cfg)[0])[0]
+        with pytest.raises(ValueError) as info:
+            make_dataset(cfg)
+        want = f"fiber 0: its points collapse at length {length:g} and center {center}"
+        assert str(info.value) == want
 
     def test_poisson_draw_bounded(self, monkeypatch):
         # the mean is at the bound and the draw above it: refused before any
