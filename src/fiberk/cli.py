@@ -16,13 +16,12 @@ import numpy as np
 
 from .currents import KernelParams, distance, min_distance
 from . import fiber_core
-from .fiber_core import CenterFunctionKind, _count_text, _piece_count, arclength, segment
+from .fiber_core import CenterFunctionKind, Window, _count_text, _piece_count, arclength, segment
 from .fileio import FiberFileError, read_fibers, write_fibers, write_kcsv, _atomic_write
 from .kfunction import (
     MAX_K_CELLS,
     EmptyWindowError,
     KConfig,
-    Window,
     _center_distances,
     _centered_currents,
     inset_window,

@@ -1,7 +1,7 @@
 """Polyline fiber geometry: arclength, resampling, centering, segmentation.
 
-A fiber is an ordered 3D polyline. All operations are pure: they return new
-``Fiber`` objects and never mutate their inputs (point arrays are read-only).
+A fiber is an ordered 3D polyline and a window an axis-aligned box. Operations
+are pure: they return new objects and never mutate inputs (arrays are read-only).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ __all__ = [
     "CenterFunctionKind",
     "Fiber",
     "CenteredFiber",
+    "Window",
     "arclength",
     "resample",
     "center",
@@ -30,11 +31,11 @@ __all__ = [
 # 0.1 ms through kfun (3 fibers cut into 10,000 to 100,000 pieces, numpy 2.4
 # on x86-64), so an admitted run stays under about 1 GiB.
 MAX_PIECES = 10**6
-# Largest coordinate magnitude a fiber may have, and largest extent of its
-# points along each axis. Segment lengths are computed from squared coordinate
-# differences, which overflow from about 1e154 on. A center lies within the
-# bounding box of the points, so the extent bound keeps a centered copy within
-# the coordinate bound too.
+# Largest coordinate magnitude a fiber, a center or a window corner may have,
+# and largest extent of a fiber's points along each axis. Segment lengths are
+# computed from squared coordinate differences, which overflow from about
+# 1e154 on. A center lies within the bounding box of the points, so the extent
+# bound keeps a centered copy within the coordinate bound too.
 MAX_COORDINATE = 1e100
 
 
@@ -45,17 +46,24 @@ class CenterFunctionKind(Enum):
     ARCLENGTH_MIDPOINT = "midpoint"
 
 
+def _largest_coordinate(values, what: str) -> float:
+    """The largest magnitude among ``values``. Raises ValueError naming
+    ``what`` unless every value is finite and within +-``MAX_COORDINATE``."""
+    largest = np.abs(values).max()
+    if not largest <= MAX_COORDINATE:  # also catches nan
+        if not np.isfinite(values).all():
+            raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} must be within +-{MAX_COORDINATE:g}")
+    return largest
+
+
 def _validated_points(points) -> np.ndarray:
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("fiber points must be an (n, 3) array")
     if pts.shape[0] < 2:
         raise ValueError("a fiber needs at least 2 points")
-    largest = np.abs(pts).max()
-    if not largest <= MAX_COORDINATE:  # also catches nan
-        if not np.isfinite(pts).all():
-            raise ValueError("fiber coordinates must be finite")
-        raise ValueError(f"fiber coordinates must be within +-{MAX_COORDINATE:g}")
+    largest = _largest_coordinate(pts, "fiber coordinates")
     # only points beyond half the bound can span more than it
     if largest > 0.5 * MAX_COORDINATE and np.ptp(pts, axis=0).max() > MAX_COORDINATE:
         raise ValueError(f"fiber points must span at most {MAX_COORDINATE:g} along each axis")
@@ -98,10 +106,45 @@ class CenteredFiber:
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.original_center, dtype=np.float64)
-        if c.shape != (3,) or not np.isfinite(c).all():
-            raise ValueError("center must be a finite 3-vector")
+        if c.shape != (3,):
+            raise ValueError("center must be a 3-vector")
+        _largest_coordinate(c, "center")
         c.setflags(write=False)
         object.__setattr__(self, "original_center", c)
+
+
+@dataclass(frozen=True, eq=False)
+class Window:
+    """Axis-aligned observation box. Membership is half-open: lower <= x < upper."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        lo = np.ascontiguousarray(self.lower, dtype=np.float64)
+        hi = np.ascontiguousarray(self.upper, dtype=np.float64)
+        if lo.shape != (3,) or hi.shape != (3,):
+            raise ValueError("window corners must be 3-vectors")
+        # bounded like fiber coordinates, so the volume cannot overflow
+        _largest_coordinate((lo, hi), "window corners")
+        if not np.all(lo < hi):
+            raise ValueError("window must satisfy lower < upper componentwise")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+
+    @property
+    def volume(self) -> float:
+        return float(np.prod(self.upper - self.lower))
+
+    def contains(self, points) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        return np.all((pts >= self.lower) & (pts < self.upper), axis=1)
+
+    def translate(self, v) -> "Window":
+        v = np.asarray(v, dtype=np.float64)
+        return Window(self.lower + v, self.upper + v)
 
 
 def _seg_lengths(pts: np.ndarray) -> np.ndarray:

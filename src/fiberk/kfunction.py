@@ -17,11 +17,10 @@ import numpy as np
 
 from . import backends
 from .currents import KernelParams, _shape_distance, discretize
-from .fiber_core import MAX_COORDINATE, CenterFunctionKind, Fiber, _center_point, center
+from .fiber_core import CenterFunctionKind, Fiber, Window, _center_point, center
 
 __all__ = [
     "EmptyWindowError",
-    "Window",
     "KConfig",
     "KResult",
     "estimate_intensity",
@@ -47,43 +46,6 @@ MAX_TOTAL_ATOMS = 4 * 10**6
 
 class EmptyWindowError(RuntimeError):
     """No fiber center inside the observation window: estimator undefined."""
-
-
-@dataclass(frozen=True, eq=False)
-class Window:
-    """Axis-aligned observation box. Membership is half-open: lower <= x < upper."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.ascontiguousarray(self.lower, dtype=np.float64)
-        hi = np.ascontiguousarray(self.upper, dtype=np.float64)
-        if lo.shape != (3,) or hi.shape != (3,):
-            raise ValueError("window corners must be 3-vectors")
-        # bounded like fiber coordinates, so the volume cannot overflow
-        if not np.abs([lo, hi]).max() <= MAX_COORDINATE:  # also catches nan
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-                raise ValueError("window corners must be finite")
-            raise ValueError(f"window corners must be within +-{MAX_COORDINATE:g}")
-        if not np.all(lo < hi):
-            raise ValueError("window must satisfy lower < upper componentwise")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
-
-    def contains(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.all((pts >= self.lower) & (pts < self.upper), axis=1)
-
-    def translate(self, v) -> "Window":
-        v = np.asarray(v, dtype=np.float64)
-        return Window(self.lower + v, self.upper + v)
 
 
 def _validated_grid(grid, name: str) -> np.ndarray:

@@ -14,8 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fiber_core import MAX_COORDINATE, CenterFunctionKind, Fiber, center
-from .kfunction import Window
+from .fiber_core import MAX_COORDINATE, CenterFunctionKind, Fiber, Window, center
 
 __all__ = [
     "ProcessKind",
@@ -34,9 +33,9 @@ __all__ = [
 # fibers of 1,000 points, numpy 2.4 on x86-64), so an admitted run stays under
 # about 1 GiB.
 MAX_TOTAL_POINTS = 4 * 10**6
-# Longest fiber_length. A fiber's points lie within its length of its center,
-# so a fiber centered within 0.9 MAX_COORDINATE of the origin keeps its
-# coordinates inside the bound that Fiber enforces.
+# Longest fiber_length: it keeps a centered shape inside the coordinate bound and
+# the generators' squared lengths inside the float range. A placed fiber may leave
+# it (a box may reach it, cluster offsets are unbounded): make_dataset names it.
 MAX_FIBER_LENGTH = MAX_COORDINATE / 10
 
 
@@ -122,15 +121,14 @@ def _random_rotation(rng) -> np.ndarray:
     )
 
 
-def _centered(points: np.ndarray, fiber_id: str = "shape") -> Fiber:
-    f = Fiber(fiber_id, points)
-    return center(f, CenterFunctionKind.MASS_CENTER).fiber
+def _centered(points: np.ndarray) -> Fiber:
+    return center(Fiber("shape", points), CenterFunctionKind.MASS_CENTER).fiber
 
 
 def _rescaled_to_length(points: np.ndarray, length: float) -> np.ndarray:
     total = np.linalg.norm(np.diff(points, axis=0), axis=1).sum()
     if total <= 0:
-        raise ValueError("degenerate path")
+        raise ValueError("the shape's length is 0 in floating point")
     return points * (length / total)
 
 
@@ -230,7 +228,8 @@ def make_dataset(config: SimConfig) -> list[Fiber]:
 
     Deterministic given the config (including seeds); fiber ids are the
     sequential indices as strings. Raises ValueError naming the first fiber
-    whose points collapse in floating point, at its length and center.
+    that cannot be made, its length and center, and the reason: for example
+    its points collapse in floating point or leave the coordinate bound.
     """
     rng_c, rng_s = _rng_streams(config)
     n = config.n_fibers
@@ -264,10 +263,7 @@ def make_dataset(config: SimConfig) -> list[Fiber]:
     fibers = []
     for i, c in enumerate(centers):
         try:
-            points = next(shapes).points + c
-        except ValueError:  # for a valid config, only when the shape's points collapse
-            points = None
-        if points is None or not np.diff(points, axis=0).any(axis=1).all():
-            raise ValueError(f"fiber {i}: its points collapse at length {length:g} and center {c}")
-        fibers.append(Fiber(str(i), points))
+            fibers.append(Fiber(str(i), next(shapes).points + c))
+        except ValueError as exc:
+            raise ValueError(f"fiber {i} (length {length:g}, center {c}): {exc}") from exc
     return fibers

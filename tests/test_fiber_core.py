@@ -87,6 +87,32 @@ class TestFiberValidation:
         with pytest.raises(ValueError):
             f.points[0, 0] = 1.0
 
+    @pytest.mark.parametrize("points", [[0, 0, 0], [[0, 0], [1, 0]], np.zeros((2, 3, 1))])
+    def test_rejects_points_that_are_not_n_by_3(self, points):
+        with pytest.raises(ValueError, match="fiber points must be an \\(n, 3\\) array"):
+            Fiber("x", points)
+
+    def test_equality_and_repr(self):
+        f = straight()
+        assert f == straight() and f != straight(fid="other")
+        assert f.__eq__(1) is NotImplemented and f != 1
+        assert repr(f) == "Fiber(id='line', n_points=2)"
+
+
+class TestCenteredFiber:
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            ([0.0, 0.0], "center must be a 3-vector"),
+            ([0.0, np.nan, 0.0], "center must be finite"),
+            ([1e101, 0.0, 0.0], "center must be within \\+-1e\\+100"),
+        ],
+        ids=["shape", "nan", "beyond-bound"],
+    )
+    def test_rejects_bad_center(self, c, message):
+        with pytest.raises(ValueError, match=message):
+            fiber_core.CenteredFiber(c, straight())
+
 
 class TestArclength:
     def test_single_segment(self):

@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -633,7 +634,8 @@ _TWO_LINES = "fiberset v1 2\nfiber a 2\n0 0 0\n40 0 0\nfiber b 2\n0 5 0\n40 5 0\
             id="simulate-too-many-clusters",
         ),
         # points that collapse in floats: next to a center near 1e100, or at a
-        # length of 1e-300 (exit 2, naming the fiber)
+        # length of 1e-300 (exit 2, naming the fiber; the message is checked in
+        # test_simulate_refusal_names_the_fiber)
         pytest.param(
             [*_SIMULATE, "--box", "0,0,0,1e100,1e100,1e100"], 2, id="simulate-collapse-far-box"
         ),
@@ -729,6 +731,37 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     assert captured.err.count("\n") == 1
     assert len(captured.err) < 200
     assert not out.exists() and not unwritable.parent.exists()
+
+
+_LONG = ["--n", "30", "--length", "1e99"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_SIMULATE, "--box", "0,0,0,1e100,1e100,1e100"],
+        ["simulate", "--process", "clustered", "--n", "3", "--cluster-std", "1e100"],
+        ["simulate", "--process", "brownian", "--n", "3", "--length", "1e-300"],
+        ["simulate", "--process", "spirals", "--n", "3", "--length", "1e-300"],
+        # 1e99-long fibers placed beyond the coordinate bound
+        ["simulate", "--process", "lines", *_LONG, "--box=0,0,0,1e100,1e100,1e100"],
+        ["simulate", "--process", "clustered", *_LONG, "--cluster-std", "1e100"],
+    ],
+    ids=[
+        "collapse-far-box", "collapse-cluster-std", "collapse-brownian-short",
+        "collapse-spirals-short", "far-box-beyond", "cluster-std-beyond",
+    ],
+)
+def test_simulate_refusal_names_the_fiber(tmp_path, capsys, argv):
+    # every fiber that make_dataset cannot make is named with its length and
+    # center, whichever check refused it
+    out = tmp_path / "out.fib"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = r"fiberk simulate: fiber \d+ \(length \S+, center \[[^]]+\]\): .+\n"
+    assert re.fullmatch(named, captured.err)
+    assert len(captured.err) < 200 and not out.exists()
 
 
 _BOX_FIELDS = "box must be 'x0,y0,z0,x1,y1,z1'"

@@ -21,6 +21,8 @@ from fiberk import (
 )
 
 MASS = CenterFunctionKind.MASS_CENTER
+_FAR_BOX = Window([0, 0, 0], [1e100] * 3)
+_COLLAPSE = "consecutive fiber points must be distinct"
 
 
 def shape_center_norm(fiber):
@@ -85,6 +87,11 @@ class TestGenerators:
     def test_spiral_rejects_impossible_radius(self, rng):
         with pytest.raises(ValueError):
             gen_spiral(40.0, rng, radius=20.0, turns=3.0)
+
+    @pytest.mark.parametrize("generate", [gen_line, gen_spiral, gen_brownian])
+    def test_rejects_length_zero(self, rng, generate):
+        with pytest.raises(ValueError, match="length must be > 0"):
+            generate(0.0, rng)
 
     def test_spiral_huge_length_is_a_value_error(self, rng):
         # the pitch is formed without squaring length / (2 pi turns), so the
@@ -194,6 +201,8 @@ class TestSimConfigBounds:
             ("cluster_std", -1.0),
             ("direction_jitter_std", math.nan),
             ("direction_jitter_std", -0.1),
+            ("points_per_fiber", 1),
+            ("n_clusters", 0),
         ],
     )
     def test_rejects_impossible_shape_values(self, field, value):
@@ -219,25 +228,47 @@ class TestSimConfigBounds:
         with pytest.raises(ValueError, match="more than 4000000 in total"):
             SimConfig(process=process, n_fibers=n + 1, points_per_fiber=100, n_clusters=10)
 
+    @staticmethod
+    def assert_refused(cfg, i, reason):
+        center = simulate.sample_centers(cfg, simulate._rng_streams(cfg)[0])[i]
+        with pytest.raises(ValueError) as info:
+            make_dataset(cfg)
+        want = f"fiber {i} (length {cfg.fiber_length:g}, center {center}): {reason}"
+        assert str(info.value) == want
+
     @pytest.mark.parametrize(
-        "overrides, length",
+        "overrides, reason",
         [
-            (dict(process=ProcessKind.UNIFORM_LINES, box=Window([0, 0, 0], [1e100] * 3)), 40),
-            (dict(process=ProcessKind.CLUSTERED_LINES, cluster_std=1e100), 40),
-            (dict(process=ProcessKind.UNIFORM_BROWNIAN, fiber_length=1e-300), 1e-300),
-            (dict(process=ProcessKind.UNIFORM_SPIRALS, fiber_length=1e-300), 1e-300),
+            (dict(process=ProcessKind.UNIFORM_LINES, box=_FAR_BOX), _COLLAPSE),
+            (dict(process=ProcessKind.CLUSTERED_LINES, cluster_std=1e100), _COLLAPSE),
+            (dict(process=ProcessKind.UNIFORM_BROWNIAN, fiber_length=1e-300), _COLLAPSE),
+            (
+                dict(process=ProcessKind.UNIFORM_SPIRALS, fiber_length=1e-300),
+                "the shape's length is 0 in floating point",
+            ),
         ],
         ids=["far-box", "cluster-std", "brownian-short", "spirals-short"],
     )
-    def test_collapsing_points_name_the_fiber(self, overrides, length):
+    def test_collapsing_points_name_the_fiber(self, overrides, reason):
         # 40-long fibers next to centers near 1e100, and 1e-300-long fibers
-        # anywhere, have consecutive points that are equal in floats
-        cfg = SimConfig(n_fibers=3, **overrides)
-        center = simulate.sample_centers(cfg, simulate._rng_streams(cfg)[0])[0]
-        with pytest.raises(ValueError) as info:
-            make_dataset(cfg)
-        want = f"fiber 0: its points collapse at length {length:g} and center {center}"
-        assert str(info.value) == want
+        # anywhere, have consecutive points that are equal in floats; a
+        # 1e-300-long spiral already has length 0 before it is placed
+        self.assert_refused(SimConfig(n_fibers=3, **overrides), 0, reason)
+
+    @pytest.mark.parametrize(
+        "overrides, index",
+        [
+            (dict(process=ProcessKind.UNIFORM_LINES, box=_FAR_BOX), 21),
+            (dict(process=ProcessKind.CLUSTERED_LINES, cluster_std=1e100), 1),
+        ],
+        ids=["far-box", "cluster-std"],
+    )
+    def test_fibers_beyond_the_bound_name_the_fiber(self, overrides, index):
+        # 1e99-long fibers whose centers lie in a box reaching 1e100, or are
+        # offset from their cluster by a spread of 1e100: at seed 0 the first
+        # one to leave the coordinate bound is fiber `index`
+        cfg = SimConfig(n_fibers=30, fiber_length=1e99, **overrides)
+        self.assert_refused(cfg, index, "fiber coordinates must be within +-1e+100")
 
     def test_poisson_draw_bounded(self, monkeypatch):
         # the mean is at the bound and the draw above it: refused before any
