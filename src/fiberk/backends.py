@@ -107,7 +107,12 @@ def _same_buffer(a, b) -> bool:
 
 
 def inner(pos_a, tan_a, pos_b, tan_b, p: float, sigma: float) -> float:
-    """Double kernel sum between two atom sets."""
+    """Double kernel sum between two atom sets.
+
+    Kept apart from ``_pair_inner``: one pair packed for it gives the same bits
+    but takes 2.2 to 3.3 times as long (6,000 seed-1 Brownian pairs at p = 1, 2
+    and inf, best of 3, numpy 2.4 on x86-64), 0.8 to 1.5 s more on the 20,100
+    calls of ``fiberk dist`` on 200 fibers."""
     if p == 2:
         ua, wa, qa = _factors(pos_a, tan_a, sigma)
         if _same_buffer(pos_a, pos_b) and _same_buffer(tan_a, tan_b):

@@ -130,18 +130,19 @@ def _cmd_kfun(args) -> None:
         orientation_invariant=not args.oriented,
         spacing=args.spacing,
     )
+    if not (args.segment_length is None or args.segment_length > 0):  # also catches nan
+        raise ValueError("--segment-length must be > 0")
     fibers = read_fibers(args.infile)
     if args.segment_length is not None:
-        if args.segment_length > 0:
-            # segment's counts, summed as floats (exact below 2**53, inf past the
-            # float range): segment bounds each fiber's pieces, this their total
-            total = sum(float(_piece_count(arclength(f), args.segment_length)) for f in fibers)
-            if not total <= fiber_core.MAX_PIECES:
-                raise ValueError(
-                    f"--segment-length {args.segment_length:g} would cut the"
-                    f" {len(fibers)} fibers into {_count_text(total)} pieces, more than"
-                    f" {fiber_core.MAX_PIECES} in total"
-                )
+        # segment's counts, summed as floats (exact below 2**53, inf past the float
+        # range): segment bounds each fiber's pieces, this their total
+        total = sum(float(_piece_count(arclength(f), args.segment_length)) for f in fibers)
+        if not total <= fiber_core.MAX_PIECES:
+            raise ValueError(
+                f"--segment-length {args.segment_length:g} would cut the"
+                f" {len(fibers)} fibers into {_count_text(total)} pieces, more than"
+                f" {fiber_core.MAX_PIECES} in total"
+            )
         fibers = [piece for f in fibers for piece in segment(f, args.segment_length)]
     window = args.window or inset_window(fibers, config.center_kind, args.inset)
     result = k_function(fibers, config, window)

@@ -19,7 +19,6 @@ from .fiber_core import Fiber, _resampled_points
 
 __all__ = [
     "KernelParams",
-    "DiracAtom",
     "DiscreteCurrent",
     "kernel_eval",
     "discretize",
@@ -60,15 +59,6 @@ class KernelParams:
 
 
 @dataclass(frozen=True, eq=False)
-class DiracAtom:
-    """One weighted Dirac current: evaluate the field at ``position`` against
-    ``weighted_tangent``."""
-
-    position: np.ndarray
-    weighted_tangent: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class DiscreteCurrent:
     """Riemann-sum approximation of a curve's current as Dirac atoms.
 
@@ -79,7 +69,6 @@ class DiscreteCurrent:
 
     positions: np.ndarray
     tangents: np.ndarray
-    source_id: str = ""
     _canonical: tuple | None = field(default=None, init=False, repr=False)
     _self_sums: dict | None = field(default=None, init=False, repr=False)
 
@@ -99,16 +88,6 @@ class DiscreteCurrent:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "tangents", tan)
 
-    @property
-    def atoms(self) -> tuple[DiracAtom, ...]:
-        return tuple(
-            DiracAtom(p, t) for p, t in zip(self.positions, self.tangents)
-        )
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.linalg.norm(self.tangents, axis=1).sum())
-
     def __len__(self):
         return self.positions.shape[0]
 
@@ -126,15 +105,13 @@ def discretize(fiber: Fiber, spacing: float) -> DiscreteCurrent:
     vector. More atoms than one pair block may square
     (``backends.MAX_PAIR_EVALS``) raise ValueError before any is made."""
     pts = _resampled_points(fiber, spacing, math.isqrt(backends.MAX_PAIR_EVALS), "atoms")
-    return DiscreteCurrent(0.5 * (pts[:-1] + pts[1:]), pts[1:] - pts[:-1], fiber.id)
+    return DiscreteCurrent(0.5 * (pts[:-1] + pts[1:]), pts[1:] - pts[:-1])
 
 
 def flip(current: DiscreteCurrent) -> DiscreteCurrent:
     """The same curve with opposite orientation: atom order reversed and
     weighted tangents negated."""
-    return DiscreteCurrent(
-        current.positions[::-1], -current.tangents[::-1], current.source_id
-    )
+    return DiscreteCurrent(current.positions[::-1], -current.tangents[::-1])
 
 
 def _signed_canonical(current: DiscreteCurrent):

@@ -23,7 +23,6 @@ __all__ = [
     "EmptyWindowError",
     "KConfig",
     "KResult",
-    "estimate_intensity",
     "csr_reference",
     "pair_distances",
     "k_function",
@@ -98,10 +97,6 @@ class KResult:
     window: Window
 
 
-def _centers(fibers: list[Fiber], kind: CenterFunctionKind) -> np.ndarray:
-    return np.array([_center_point(f.points, kind) for f in fibers]).reshape(-1, 3)
-
-
 def _intensity(n: int, window: Window) -> float:
     """``n / window.volume``; raises ValueError naming the volume when it has
     underflowed to 0 or is so small that the quotient overflows."""
@@ -111,15 +106,6 @@ def _intensity(n: int, window: Window) -> float:
             f"window volume {volume:.17g} is too small: the intensity {n} / volume is not finite"
         )
     return n / volume
-
-
-def estimate_intensity(
-    fibers: list[Fiber], window: Window, kind: CenterFunctionKind
-) -> tuple[int, float]:
-    """Count fiber centers in the (half-open) window and divide by volume."""
-    centers = _centers(fibers, kind)
-    n = int(window.contains(centers).sum()) if len(centers) else 0
-    return n, _intensity(n, window)
 
 
 def csr_reference(t: float) -> float:
@@ -135,11 +121,15 @@ def _centered_currents(fibers, kind, spacing):
     of its centered copy. Each fiber is centered once and its centered copy is
     discretized at once, so no centered fiber outlives its atoms.
 
-    Raises ValueError before the next fiber is centered once the atoms so far
-    exceed ``MAX_TOTAL_ATOMS`` (``discretize`` bounds each current's)."""
+    Raises ValueError naming a fiber whose centered copy is no fiber (its
+    points collapse), and before the next fiber is centered once the atoms so
+    far exceed ``MAX_TOTAL_ATOMS`` (``discretize`` bounds each current's)."""
     total = 0
     for f in fibers:
-        c = center(f, kind)
+        try:
+            c = center(f, kind)
+        except ValueError as exc:
+            raise ValueError(f"fiber {f.id}: {exc}") from None
         current = discretize(c.fiber, spacing)
         total += len(current)
         if total > MAX_TOTAL_ATOMS:
@@ -316,9 +306,9 @@ def inset_window(
     """Shrink the bounding box of the fiber centers by ``fraction`` per side."""
     if not (0 <= fraction < 0.5):
         raise ValueError("inset fraction must be in [0, 0.5)")
-    centers = _centers(fibers, kind)
-    if len(centers) == 0:
+    if not fibers:
         raise ValueError("cannot compute a window from an empty fiber list")
+    centers = np.array([_center_point(f.points, kind) for f in fibers])
     lo = centers.min(axis=0)
     hi = centers.max(axis=0)
     ext = hi - lo

@@ -76,6 +76,9 @@ class SimConfig:
             raise ValueError("n_fibers must be >= 1")
         if not 0 < self.fiber_length <= MAX_FIBER_LENGTH:
             raise ValueError(f"fiber_length must be > 0 and <= {MAX_FIBER_LENGTH:g}")
+        for name in ("seed", "center_seed", "shape_seed"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("cluster_std", "direction_jitter_std"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")

@@ -32,8 +32,8 @@ P2 = KernelParams(p=2.0, sigma=1.0)
 PAPER = KernelParams(p=2.0, sigma=100.0 / 3.0)
 
 
-def atom(pos, tan, fid="a"):
-    return DiscreteCurrent(np.atleast_2d(pos).astype(float), np.atleast_2d(tan).astype(float), fid)
+def atom(pos, tan):
+    return DiscreteCurrent(np.atleast_2d(pos).astype(float), np.atleast_2d(tan).astype(float))
 
 
 def fine_riemann_inner(fa, fb, spacing, params):
@@ -96,21 +96,16 @@ class TestDiscretize:
         assert len(cur) == 4
         assert np.allclose(np.linalg.norm(cur.tangents, axis=1), 10.0)
 
-    def test_total_weight_near_arclength(self, rng):
+    def test_chord_lengths_sum_near_arclength(self, rng):
         f = smooth_fiber(rng)
         cur = discretize(f, PAPER.sigma / 20.0)
-        assert cur.total_weight == pytest.approx(arclength(f), rel=0.01)
+        chords = np.linalg.norm(cur.tangents, axis=1).sum()
+        assert chords == pytest.approx(arclength(f), rel=0.01)
 
     def test_invalid_spacing(self):
         f = Fiber("f", [[0, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError):
             discretize(f, -1.0)
-
-    def test_atoms_view(self):
-        f = Fiber("f", [[0, 0, 0], [1, 0, 0]])
-        atoms = discretize(f, 1.0).atoms
-        assert len(atoms) == 1
-        assert np.allclose(atoms[0].weighted_tangent, [1, 0, 0])
 
 
 class TestDiscreteCurrentChecks:
@@ -143,7 +138,7 @@ class TestInnerProduct:
 
     def test_two_atoms_at_sigma(self):
         u = np.array([1.0, 0, 0])
-        got = inner_product(atom([0, 0, 0], u), atom([1.0, 0, 0], u, "b"), P2)
+        got = inner_product(atom([0, 0, 0], u), atom([1.0, 0, 0], u), P2)
         assert got == pytest.approx(math.exp(-0.5))
 
     def test_exact_symmetry(self, rng):
@@ -189,7 +184,7 @@ class TestDistance:
 
     def test_opposite_tangents_same_position(self):
         u = np.array([1.0, 0, 0])
-        a, b = atom([0, 0, 0], u), atom([0, 0, 0], -u, "b")
+        a, b = atom([0, 0, 0], u), atom([0, 0, 0], -u)
         assert distance(a, b, P2) == pytest.approx(2.0)
         assert min_distance(a, b, P2) == pytest.approx(0.0)
 
@@ -280,7 +275,7 @@ class TestCachedSums:
 
     def test_distinct_currents_with_equal_atoms(self, rng):
         a = discretize(smooth_fiber(rng, fid="a"), 2.0)
-        b = DiscreteCurrent(a.positions.copy(), a.tangents.copy(), "b")
+        b = DiscreteCurrent(a.positions.copy(), a.tangents.copy())
         assert inner_product(a, b, PAPER) == inner_product_per_call(a, b, PAPER)
         assert inner_product(b, a, PAPER) == inner_product_per_call(b, a, PAPER)
         assert norm(b, PAPER) == norm(a, PAPER)
@@ -318,7 +313,7 @@ class TestCachedSums:
         if partner == "other":
             b = discretize(smooth_fiber(rng, fid="b"), 4.0)
         elif partner == "copy":
-            b = DiscreteCurrent(a.positions.copy(), a.tangents.copy(), "b")
+            b = DiscreteCurrent(a.positions.copy(), a.tangents.copy())
         else:
             b = flip(a)
         want = inner_product_per_call(a, b, params)

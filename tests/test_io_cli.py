@@ -491,7 +491,7 @@ class TestCliKfun:
         out = tmp_path / "k.csv"
         argv = ["kfun", "--in", str(dataset_file), "--inset", "0.13", "--segment-length", length]
         assert run([*argv, "--out", str(out)]) == 2
-        assert "max_length must be > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "fiberk kfun: --segment-length must be > 0\n"
         assert not out.exists()
 
     def test_window_and_inset_exclusive(self, dataset_file, tmp_path):
@@ -585,6 +585,11 @@ _TINY = (
     "fiber b 2\n1e-110 3e-110 1e-110\n5e-110 3e-110 1e-110\n"
 )
 _TWO_LINES = "fiberset v1 2\nfiber a 2\n0 0 0\n40 0 0\nfiber b 2\n0 5 0\n40 5 0\n"
+# fiber b reads cleanly, but 1e-160 - 20 rounds to -20, so under either center
+# kind its centered copy repeats a point
+_NEAR_DUPLICATE = (
+    "fiberset v1 2\nfiber a 2\n0 0 0\n10 0 1\nfiber b 3\n0 5 0\n1e-160 5 0\n40 5 0\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -696,6 +701,13 @@ _TWO_LINES = "fiberset v1 2\nfiber a 2\n0 0 0\n40 0 0\nfiber b 2\n0 5 0\n40 5 0\
         pytest.param(["dist", "--in", "{missing}", "--spacing", "-1"], 2, id="dist-spacing--1"),
         pytest.param(["dist", "--in", "{missing}", "--spacing", "0"], 2, id="dist-spacing-0"),
         pytest.param(["dist", "--in", "{missing}", "--spacing", "nan"], 2, id="dist-spacing-nan"),
+        pytest.param(
+            ["kfun", "--in", "{missing}", "--inset", "0.13", "--segment-length", "0"],
+            2,
+            id="kfun-segment-length-0-unread",
+        ),
+        pytest.param([*_SIMULATE, "--seed=-1"], 2, id="simulate-seed-negative"),
+        pytest.param(["kfun", "--in", "{near}", "--inset", "0.13"], 2, id="kfun-near-duplicate"),
     ],
 )
 def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
@@ -709,6 +721,8 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     tiny.write_text(_TINY)
     two = tmp_path / "two.fib"
     two.write_text(_TWO_LINES)
+    near = tmp_path / "near.fib"
+    near.write_text(_NEAR_DUPLICATE)
     out = tmp_path / "out"
     unwritable = tmp_path / "missing" / "out"
     paths = {
@@ -718,6 +732,7 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
         "{wide}": wide,
         "{tiny}": tiny,
         "{two}": two,
+        "{near}": near,
         "{missing}": tmp_path / "missing.fib",
         "{unwritable}": unwritable,
     }
@@ -731,6 +746,20 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     assert captured.err.count("\n") == 1
     assert len(captured.err) < 200
     assert not out.exists() and not unwritable.parent.exists()
+
+
+@pytest.mark.parametrize("kind", [k.value for k in CenterFunctionKind])
+@pytest.mark.parametrize("command", ["kfun", "dist"])
+def test_a_refused_centered_fiber_is_named(tmp_path, capsys, command, kind):
+    src = tmp_path / "near.fib"
+    src.write_text(_NEAR_DUPLICATE)
+    out = tmp_path / "out.csv"
+    argv = [command, "--in", str(src), "--center", kind, "--out", str(out)]
+    assert run(argv + ["--inset", "0.13"] * (command == "kfun")) == 2
+    assert capsys.readouterr().err == (
+        f"fiberk {command}: fiber b: consecutive fiber points must be distinct\n"
+    )
+    assert not out.exists()
 
 
 _LONG = ["--n", "30", "--length", "1e99"]

@@ -17,7 +17,6 @@ from fiberk import (
     center,
     csr_reference,
     discretize,
-    estimate_intensity,
     inner_product,
     inset_window,
     k_function,
@@ -114,28 +113,28 @@ class TestAtomLimits:
         assert centered == ["0", "1", "2", "3"]
 
 
-class TestEstimateIntensity:
+class TestWindowCount:
+    """``KResult.n_in_window`` and ``intensity_hat`` are the count of centers
+    in the window and N / |W|."""
+
     def test_count_over_volume(self):
         w = Window(np.zeros(3), np.ones(3))
         fibers = [line_at(0.5, 0.5, 0.5, "a", 0.2), line_at(0.4, 0.5, 0.5, "b", 0.2)]
-        n, nu = estimate_intensity(fibers, w, MASS)
-        assert (n, nu) == (2, 2.0)
+        res = k_function(fibers, small_config(), w)
+        assert (res.n_in_window, res.intensity_hat) == (2, 2.0)
 
     def test_upper_face_excluded(self):
         w = Window(np.zeros(3), np.ones(3))
-        fibers = [line_at(0.5, 1.0, 0.5, "a", 0.2)]
-        n, _ = estimate_intensity(fibers, w, MASS)
-        assert n == 0
+        fibers = [line_at(0.5, 1.0, 0.5, "a", 0.2), line_at(0.5, 0.0, 0.5, "b", 0.2)]
+        assert k_function(fibers, small_config(), w).n_in_window == 1
 
     def test_binomial_expectation(self):
         cfg = SimConfig(process=ProcessKind.UNIFORM_LINES, n_fibers=500, seed=42)
-        fibers = make_dataset(cfg)
-        w = Window(np.full(3, 13.0), np.full(3, 87.0))
-        n, _ = estimate_intensity(fibers, w, MASS)
+        centers = [center(f, MASS).original_center for f in make_dataset(cfg)]
+        n = int(Window(np.full(3, 13.0), np.full(3, 87.0)).contains(centers).sum())
         p = (74.0 / 100.0) ** 3
         mean, sd = 500 * p, math.sqrt(500 * p * (1 - p))
         assert abs(n - mean) <= 3 * sd
-
 
     @pytest.mark.parametrize("e", [-350, -365])
     def test_a_volume_too_small_for_the_count_is_refused(self, e):
@@ -143,9 +142,10 @@ class TestEstimateIntensity:
         # the volume underflows to 0
         fibers = _scaled(_dataset(seed=1, n=150, process=ProcessKind.CLUSTERED_LINES), e)
         w = inset_window(fibers, MASS, 0.13)
+        cfg = small_config(t_grid=(2.0**e,), s_grid=(2.0**e,))
         message = r"^window volume \S+ is too small: the intensity \d+ / volume is not finite$"
         with pytest.raises(ValueError, match=message):
-            estimate_intensity(fibers, w, MASS)
+            k_function(fibers, cfg, w)
 
 
 class TestCsrReference:

@@ -209,6 +209,12 @@ class TestSimConfigBounds:
         with pytest.raises(ValueError, match=field):
             SimConfig(process=ProcessKind.CLUSTERED_LINES, **{field: value})
 
+    @pytest.mark.parametrize("field", ["seed", "center_seed", "shape_seed"])
+    def test_rejects_a_negative_seed_by_name(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+            SimConfig(process=ProcessKind.UNIFORM_LINES, **{field: -1})
+        SimConfig(process=ProcessKind.UNIFORM_LINES, **{field: 0})
+
     def test_longest_admitted_fiber(self):
         cfg = SimConfig(
             process=ProcessKind.UNIFORM_SPIRALS, n_fibers=2, fiber_length=simulate.MAX_FIBER_LENGTH
