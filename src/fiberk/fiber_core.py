@@ -7,7 +7,7 @@ are pure: they return new objects and never mutate inputs (arrays are read-only)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -75,10 +75,14 @@ def _validated_points(points) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Fiber:
-    """An ordered 3D polyline with an identifier."""
+    """An ordered 3D polyline with an identifier. Its center is computed on
+    first use and kept, for the ``CenterFunctionKind`` asked for last."""
 
     id: str
     points: np.ndarray
+    # (kind, center point); one slot, not one per kind, as a run uses one kind
+    # and a dict per fiber costs about 0.5 MB of peak memory on 5,000 pieces
+    _center: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = _validated_points(self.points)
@@ -205,12 +209,21 @@ def _counted(fiber: Fiber, length: float, name: str, limit: int, unit: str):
     return cum, n
 
 
+def _step_grid(total: float, n: int) -> np.ndarray:
+    """``np.linspace(0, total, n + 1)`` by its own arithmetic, without its
+    Python overhead."""
+    # no zero-step branch: an admitted fiber is >= ~1e-162 long and n <= MAX_PIECES
+    grid = np.arange(n + 1, dtype=np.float64) * (total / n)
+    grid[-1] = total
+    return grid
+
+
 def _resampled_points(fiber: Fiber, spacing: float, max_steps: int, unit: str) -> np.ndarray:
     """The ``n + 1`` points of ``fiber``'s ``n`` equal arclength steps at
     ``spacing``, endpoints exact; ``n`` is counted and bounded by ``_counted``."""
     pts = fiber.points
     cum, n = _counted(fiber, spacing, "spacing", max_steps, unit)
-    out = _points_at(pts, cum, np.linspace(0.0, cum[-1], n + 1))
+    out = _points_at(pts, cum, _step_grid(cum[-1], n))
     out[0] = pts[0]
     out[-1] = pts[-1]
     return out
@@ -236,6 +249,16 @@ def _center_point(pts: np.ndarray, kind: CenterFunctionKind) -> np.ndarray:
     raise ValueError(f"unknown center function kind: {kind}")  # pragma: no cover
 
 
+def _center_of(fiber: Fiber, kind: CenterFunctionKind) -> np.ndarray:
+    """``_center_point`` of ``fiber`` under ``kind``, read-only, computed once
+    while ``kind`` is the last kind asked for."""
+    if fiber._center is None or fiber._center[0] is not kind:
+        c = _center_point(fiber.points, kind)
+        c.setflags(write=False)
+        object.__setattr__(fiber, "_center", (kind, c))
+    return fiber._center[1]
+
+
 def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     """Center the fiber with the chosen center function.
 
@@ -243,7 +266,7 @@ def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     weighted by segment length, exact for polylines); ``ARCLENGTH_MIDPOINT``
     is the point at half the total arclength.
     """
-    c = _center_point(fiber.points, kind)
+    c = _center_of(fiber, kind)
     return CenteredFiber(original_center=c, fiber=Fiber(fiber.id, fiber.points - c))
 
 

@@ -14,10 +14,8 @@ values, so any row order reads back the same.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
-from typing import NoReturn
 
 import numpy as np
 
@@ -72,50 +70,54 @@ def write_fibers(fibers: list[Fiber], path) -> None:
 
 def _parse_block(path, lines, lineno: int, n_points: int) -> np.ndarray:
     """The ``n_points`` coordinate lines after line ``lineno`` (1-based) as an
-    (n_points, 3) array, parsed in one step; a malformed block is walked line
-    by line to report its first bad line."""
-    block = lines[lineno : lineno + n_points]
-    try:
-        pts = np.array(
-            [[float(x), float(y), float(z)] for x, y, z in map(str.split, block)]
-        ).reshape(n_points, 3)
-        if np.isfinite(pts).all():
-            return pts
-    except ValueError:
-        pass
-    _raise_first_bad_line(path, block, lineno + 1)
-
-
-def _raise_first_bad_line(path, block, first: int) -> NoReturn:
-    for lineno, line in enumerate(block, start=first):
+    (n_points, 3) array, each coordinate read by ``float``; raises
+    FiberFileError at the first bad line."""
+    pts = np.empty((n_points, 3))
+    for i, line in enumerate(lines[lineno : lineno + n_points]):
+        where = f"{path}:{lineno + 1 + i}"
         coords = line.split()
         if len(coords) != 3:
-            raise FiberFileError(f"{path}:{lineno}: expected 3 coordinates, got {line!r}")
+            raise FiberFileError(f"{where}: expected 3 coordinates, got {line!r}")
         try:
-            values = [float(c) for c in coords]
+            pts[i] = [float(c) for c in coords]
         except ValueError:
-            raise FiberFileError(f"{path}:{lineno}: unparseable coordinate in {line!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise FiberFileError(f"{path}:{lineno}: non-finite coordinate")
-    raise AssertionError("a block that failed to parse has no bad line")  # pragma: no cover
+            raise FiberFileError(f"{where}: unparseable coordinate in {line!r}") from None
+        if not np.isfinite(pts[i]).all():
+            raise FiberFileError(f"{where}: non-finite coordinate")
+    return pts
 
 
-def read_fibers(path) -> list[Fiber]:
-    """Parse a fiber file, reporting 1-based line numbers on error."""
-    with open(path, "r", newline=None) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FiberFileError(f"{path}:1: missing header")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != _HEADER_MAGIC or header[1] != _VERSION:
-        raise FiberFileError(f"{path}:1: malformed header {lines[0]!r}")
+def _blocks_at_once(lines, n_fibers):
+    """The ``(id, last line number, points)`` of every fiber of a well-formed
+    file, its points one slice each of the array that one ``np.loadtxt`` call
+    makes of all coordinate lines, or None for any other file."""
+    records, rows = [], []
+    at = 1  # 0-based index of the next record line
+    for _ in range(n_fibers):
+        parts = lines[at].split() if at < len(lines) else ()
+        if len(parts) != 3 or parts[0] != "fiber" or not parts[2].isdecimal():
+            return None
+        n_points = int(parts[2])
+        block = lines[at + 1 : at + 1 + n_points]
+        at += 1 + n_points
+        records.append((parts[1], at, len(rows), len(rows) + len(block)))
+        rows += block
+    if at != len(lines) or not rows:  # truncated or trailing content, or no coordinates
+        return None
     try:
-        n_fibers = int(header[2])
+        pts = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
-        raise FiberFileError(f"{path}:1: bad fiber count {header[2]!r}") from None
-    if n_fibers < 0:
-        raise FiberFileError(f"{path}:1: negative fiber count {n_fibers}")
-    fibers: list[Fiber] = []
+        return None
+    # loadtxt skips blank lines, and any token it reads as finite, float()
+    # reads the same; so a short or non-finite result falls back
+    if pts.shape != (len(rows), 3) or not np.isfinite(pts).all():
+        return None
+    return [(fid, last, pts[start:stop]) for fid, last, start, stop in records]
+
+
+def _blocks_by_line(path, lines, n_fibers):
+    """Yield ``(id, last line number, points)`` per fiber, reading one line
+    at a time; raises FiberFileError at the first malformed line."""
     lineno = 1
     for _ in range(n_fibers):
         lineno += 1
@@ -137,12 +139,41 @@ def read_fibers(path) -> list[Fiber]:
             raise FiberFileError(f"{path}:{len(lines) + 1}: expected coordinate line, got end of file")
         pts = _parse_block(path, lines, lineno, n_points)
         lineno += n_points
+        yield fid, lineno, pts
+    if lineno != len(lines):
+        raise FiberFileError(f"{path}:{lineno + 1}: trailing content after {n_fibers} fibers")
+
+
+def read_fibers(path) -> list[Fiber]:
+    """Parse a fiber file, reporting 1-based line numbers on error.
+
+    A well-formed file is parsed in one pass: its records are walked, then
+    all its coordinate lines are parsed together. Any other file is re-read
+    line by line, with the same messages and the same accepted syntax (each
+    coordinate as Python ``float`` reads it, so ``1_0`` is 10).
+    """
+    with open(path, "r", newline=None) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise FiberFileError(f"{path}:1: missing header")
+    header = lines[0].split()
+    if len(header) != 3 or header[0] != _HEADER_MAGIC or header[1] != _VERSION:
+        raise FiberFileError(f"{path}:1: malformed header {lines[0]!r}")
+    try:
+        n_fibers = int(header[2])
+    except ValueError:
+        raise FiberFileError(f"{path}:1: bad fiber count {header[2]!r}") from None
+    if n_fibers < 0:
+        raise FiberFileError(f"{path}:1: negative fiber count {n_fibers}")
+    blocks = _blocks_at_once(lines, n_fibers) or _blocks_by_line(path, lines, n_fibers)
+    # the blocks are consumed one at a time, so an invalid fiber is reported
+    # before a malformed line that follows it
+    fibers: list[Fiber] = []
+    for fid, lineno, pts in blocks:
         try:
             fibers.append(Fiber(fid, pts))
         except ValueError as exc:
             raise FiberFileError(f"{path}:{lineno}: invalid fiber {fid!r}: {exc}") from None
-    if lineno != len(lines):
-        raise FiberFileError(f"{path}:{lineno + 1}: trailing content after {n_fibers} fibers")
     return fibers
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import backends
 from .currents import KernelParams, _shape_distance, discretize
-from .fiber_core import CenterFunctionKind, Fiber, Window, _center_point, center
+from .fiber_core import CenterFunctionKind, Fiber, Window, _center_of, center
 
 __all__ = [
     "EmptyWindowError",
@@ -308,7 +308,7 @@ def inset_window(
         raise ValueError("inset fraction must be in [0, 0.5)")
     if not fibers:
         raise ValueError("cannot compute a window from an empty fiber list")
-    centers = np.array([_center_point(f.points, kind) for f in fibers])
+    centers = np.array([_center_of(f, kind) for f in fibers])
     lo = centers.min(axis=0)
     hi = centers.max(axis=0)
     ext = hi - lo

@@ -175,6 +175,20 @@ class TestResample:
         with pytest.raises(ValueError, match="gives 5 steps, more than 4 per fiber"):
             resample(straight(40.0), 9.9)
 
+    @given(
+        st.integers(min_value=-345, max_value=300),
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        st.one_of(
+            st.integers(min_value=1, max_value=4096),  # the atoms of one current
+            st.integers(min_value=1, max_value=fiber_core.MAX_PIECES),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_step_grid_is_linspace(self, e, mantissa, n):
+        total = 40.0 * mantissa * 2.0**e
+        want = np.linspace(0.0, total, n + 1)
+        assert fiber_core._step_grid(total, n).tobytes() == want.tobytes()
+
     def test_output_lies_on_input_polyline(self, rng):
         f = random_polyline(rng, n_pts=30)
         rs = resample(f, 1.0)

@@ -172,11 +172,24 @@ _CORPUS = {
     "not a fiber record": _VALID.replace("fiber b 2", "fibre b 2"),
     "bad point count": _VALID.replace("fiber b 2", "fiber b two"),
     "negative point count": _VALID.replace("fiber b 2", "fiber b -2"),
+    "signed point count": _VALID.replace("fiber b 2", "fiber b +2"),
     "CRLF endings": _VALID.replace("\n", "\r\n"),
     "CR endings": _VALID.replace("\n", "\r"),
     "line separator inside a line": _VALID.replace("1 0 0", "1 0\u2028 0"),
     "no final newline": _VALID[:-1],
     "empty file": "",
+    # the one-call parse must fall back on each of these, though their
+    # records and line counts fit (and the first one's token total too)
+    "right token total, wrong shape": _VALID.replace("0 0 0\n1 0 0", "0 0\n1 0 0 0"),
+    "comment line": _VALID.replace("1 0 0", "# 1 0 0"),
+    "comment after the coordinates": _VALID.replace("1 0 0", "1 0 0 # x"),
+    "blank line inside a block": _VALID.replace("1 0 0\n", "1 0 0\n\n").replace("a 3", "a 4"),
+    "whitespace-only line inside a block": _VALID.replace("1 0 0\n", " \t \n"),
+    "NaN in the last fiber of a long file": (
+        "fiberset v1 300\n"
+        + "".join(f"fiber f{i} 2\n{i} 0 0\n{i} 1 0\n" for i in range(299))
+        + "fiber last 3\n0 0 0\n1 0 0\n1 NaN 0\n"
+    ),
 }
 
 

@@ -22,7 +22,10 @@ from fiberk import (
     k_function,
     make_dataset,
     pair_distances,
+    read_fibers,
+    segment,
     translate,
+    write_fibers,
 )
 from fiberk import fiber_core, kfunction
 from fiberk.kfunction import _candidate_pairs, saturation_bound
@@ -437,6 +440,33 @@ class TestInsetWindow:
         w = inset_window(fibers, kind, 0.13)
         assert np.array_equal(w.lower, lo + 0.13 * (hi - lo))
         assert np.array_equal(w.upper, hi - 0.13 * (hi - lo))
+
+    @pytest.mark.parametrize("kind", list(CenterFunctionKind))
+    @pytest.mark.parametrize("process", list(ProcessKind))
+    def test_kept_centers_cannot_be_seen(self, tmp_path, process, kind):
+        # a fiber keeps the center inset_window computed; of three reads of one
+        # file, `used` goes through inset_window (the other kind first, then
+        # `kind`) and `fresh` and `reference` do not
+        path, again = tmp_path / "f.fib", tmp_path / "g.fib"
+        cfg = small_config(center_kind=kind)
+        for seed in (1, 2, 3):
+            fibers = _dataset(seed=seed, n=40, process=process)
+            for fs in (fibers, [p for f in fibers for p in segment(f, 4.0)]):
+                write_fibers(fs, path)
+                fresh, used, reference = read_fibers(path), read_fibers(path), read_fibers(path)
+                for k in sorted(CenterFunctionKind, key=lambda k: k is kind):  # kind last
+                    w = inset_window(used, k, 0.13)
+                centers = np.array([center(f, kind).original_center for f in reference])
+                lo, hi = centers.min(axis=0), centers.max(axis=0)
+                assert w.lower.tobytes() == (lo + 0.13 * (hi - lo)).tobytes()
+                assert w.upper.tobytes() == (hi - 0.13 * (hi - lo)).tobytes()
+                assert used == fresh
+                assert [repr(f) for f in used] == [repr(f) for f in fresh]
+                write_fibers(used, again)
+                assert again.read_bytes() == path.read_bytes()
+                want, got = k_function(fresh, cfg, w), k_function(used, cfg, w)
+                assert got.k.tobytes() == want.k.tobytes()
+                assert (got.n_in_window, got.intensity_hat) == (want.n_in_window, want.intensity_hat)
 
     def test_needs_a_fiber(self):
         with pytest.raises(ValueError, match="empty fiber list"):
