@@ -31,10 +31,6 @@ class FiberFileError(ValueError):
     """Malformed fiber file; the message cites the offending line number."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _atomic_write(path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then move it onto
     ``path``. On any failure the temporary file is removed; an OS error is
@@ -63,8 +59,7 @@ def write_fibers(fibers: list[Fiber], path) -> None:
         if any(ch.isspace() for ch in f.id):
             raise ValueError(f"fiber id {f.id!r} contains whitespace")
         lines.append(f"fiber {f.id} {len(f.points)}")
-        for x, y, z in f.points:
-            lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}")
+        lines += [f"{x!r} {y!r} {z!r}" for x, y, z in f.points.tolist()]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -87,37 +82,10 @@ def _parse_block(path, lines, lineno: int, n_points: int) -> np.ndarray:
     return pts
 
 
-def _blocks_at_once(lines, n_fibers):
-    """The ``(id, last line number, points)`` of every fiber of a well-formed
-    file, its points one slice each of the array that one ``np.loadtxt`` call
-    makes of all coordinate lines, or None for any other file."""
-    records, rows = [], []
-    at = 1  # 0-based index of the next record line
-    for _ in range(n_fibers):
-        parts = lines[at].split() if at < len(lines) else ()
-        if len(parts) != 3 or parts[0] != "fiber" or not parts[2].isdecimal():
-            return None
-        n_points = int(parts[2])
-        block = lines[at + 1 : at + 1 + n_points]
-        at += 1 + n_points
-        records.append((parts[1], at, len(rows), len(rows) + len(block)))
-        rows += block
-    if at != len(lines) or not rows:  # truncated or trailing content, or no coordinates
-        return None
-    try:
-        pts = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    # loadtxt skips blank lines, and any token it reads as finite, float()
-    # reads the same; so a short or non-finite result falls back
-    if pts.shape != (len(rows), 3) or not np.isfinite(pts).all():
-        return None
-    return [(fid, last, pts[start:stop]) for fid, last, start, stop in records]
-
-
-def _blocks_by_line(path, lines, n_fibers):
-    """Yield ``(id, last line number, points)`` per fiber, reading one line
-    at a time; raises FiberFileError at the first malformed line."""
+def _records(path, lines, n_fibers):
+    """Yield ``(id, record line number, n_points)`` per fiber record, its
+    coordinate lines being the ``n_points`` lines after it; raises
+    FiberFileError at the first malformed record or at trailing content."""
     lineno = 1
     for _ in range(n_fibers):
         lineno += 1
@@ -128,7 +96,6 @@ def _blocks_by_line(path, lines, n_fibers):
             raise FiberFileError(
                 f"{path}:{lineno}: expected 'fiber <id> <n_points>', got {lines[lineno - 1]!r}"
             )
-        fid = parts[1]
         try:
             n_points = int(parts[2])
         except ValueError:
@@ -137,9 +104,8 @@ def _blocks_by_line(path, lines, n_fibers):
             raise FiberFileError(f"{path}:{lineno}: negative point count {n_points}")
         if lineno + n_points > len(lines):
             raise FiberFileError(f"{path}:{len(lines) + 1}: expected coordinate line, got end of file")
-        pts = _parse_block(path, lines, lineno, n_points)
+        yield parts[1], lineno, n_points
         lineno += n_points
-        yield fid, lineno, pts
     if lineno != len(lines):
         raise FiberFileError(f"{path}:{lineno + 1}: trailing content after {n_fibers} fibers")
 
@@ -147,10 +113,13 @@ def _blocks_by_line(path, lines, n_fibers):
 def read_fibers(path) -> list[Fiber]:
     """Parse a fiber file, reporting 1-based line numbers on error.
 
-    A well-formed file is parsed in one pass: its records are walked, then
-    all its coordinate lines are parsed together. Any other file is re-read
-    line by line, with the same messages and the same accepted syntax (each
-    coordinate as Python ``float`` reads it, so ``1_0`` is 10).
+    One walk over the ``fiber <id> <n>`` records, then one ``np.loadtxt``
+    call over the coordinate lines of every record before the first bad one.
+    Only when that call does not give three finite values a line are the
+    blocks read one line at a time, with the same messages and the same
+    accepted syntax (each coordinate as Python ``float`` reads it, so ``1_0``
+    is 10). Errors are raised in line order: a bad coordinate line or an
+    invalid fiber comes before a bad record that follows it.
     """
     with open(path, "r", newline=None) as fh:
         lines = fh.read().splitlines()
@@ -165,15 +134,33 @@ def read_fibers(path) -> list[Fiber]:
         raise FiberFileError(f"{path}:1: bad fiber count {header[2]!r}") from None
     if n_fibers < 0:
         raise FiberFileError(f"{path}:1: negative fiber count {n_fibers}")
-    blocks = _blocks_at_once(lines, n_fibers) or _blocks_by_line(path, lines, n_fibers)
-    # the blocks are consumed one at a time, so an invalid fiber is reported
-    # before a malformed line that follows it
+    records, record_error = [], None
+    try:
+        records.extend(_records(path, lines, n_fibers))
+    except FiberFileError as exc:
+        record_error = exc
+    rows = []
+    for _, at, n in records:
+        rows += lines[at : at + n]
+    try:
+        pts = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2) if rows else None
+    except ValueError:
+        pts = None
+    # loadtxt skips blank lines, and any token it reads as finite, float()
+    # reads the same; so only a full, finite result is taken
+    if pts is not None and (pts.shape != (len(rows), 3) or not np.isfinite(pts).all()):
+        pts = None
     fibers: list[Fiber] = []
-    for fid, lineno, pts in blocks:
+    start = 0
+    for fid, at, n in records:
+        block = _parse_block(path, lines, at, n) if pts is None else pts[start : start + n]
+        start += n
         try:
-            fibers.append(Fiber(fid, pts))
+            fibers.append(Fiber(fid, block))
         except ValueError as exc:
-            raise FiberFileError(f"{path}:{lineno}: invalid fiber {fid!r}: {exc}") from None
+            raise FiberFileError(f"{path}:{at + n}: invalid fiber {fid!r}: {exc}") from None
+    if record_error is not None:
+        raise record_error
     return fibers
 
 

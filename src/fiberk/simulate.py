@@ -82,6 +82,8 @@ class SimConfig:
         for name in ("cluster_std", "direction_jitter_std"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        if self.direction_jitter_std > MAX_COORDINATE:
+            raise ValueError(f"direction_jitter_std must be <= {MAX_COORDINATE:g}")
         if self.points_per_fiber < 2:
             raise ValueError("points_per_fiber must be >= 2")
         if self.process is ProcessKind.CLUSTERED_LINES and self.n_clusters < 1:
@@ -154,7 +156,7 @@ def gen_spiral(
     turns: float = 1.0,
 ) -> Fiber:
     """Uniformly rotated circular helix, rescaled so the polyline arclength is
-    exactly ``length`` and then centered."""
+    ``length`` up to rounding and then centered."""
     if not length > 0:
         raise ValueError("length must be > 0")
     r = length / 8.0 if radius is None else radius
@@ -174,7 +176,7 @@ def gen_spiral(
 
 def gen_brownian(length: float, rng, points_per_fiber: int = 100) -> Fiber:
     """Random-walk fiber: cumulative isotropic Gaussian steps rescaled so the
-    polyline arclength is exactly ``length``, then centered."""
+    polyline arclength is ``length`` up to rounding, then centered."""
     if not length > 0:
         raise ValueError("length must be > 0")
     steps = rng.standard_normal((points_per_fiber - 1, 3))

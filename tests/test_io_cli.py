@@ -19,6 +19,7 @@ from fiberk import (
     cli,
     discretize,
     fiber_core,
+    fileio,
     kfunction,
     make_dataset,
     read_fibers,
@@ -185,6 +186,12 @@ _CORPUS = {
     "comment after the coordinates": _VALID.replace("1 0 0", "1 0 0 # x"),
     "blank line inside a block": _VALID.replace("1 0 0\n", "1 0 0\n\n").replace("a 3", "a 4"),
     "whitespace-only line inside a block": _VALID.replace("1 0 0\n", " \t \n"),
+    # two faults each: the one that comes first in the file is reported
+    "bad token, then a bad record": _VALID.replace("1 0 0", "1 x 0").replace("fiber b", "fibre b"),
+    "repeated point, then trailing content": _VALID.replace("1 0 0\n1 1 0", "1 0 0\n1 0 0")
+    + "extra\n",
+    "valid fibers, then a record cut off at end of file": _VALID.replace("v1 2", "v1 3")
+    + "fiber c 3\n0 0 0\n",
     "NaN in the last fiber of a long file": (
         "fiberset v1 300\n"
         + "".join(f"fiber f{i} 2\n{i} 0 0\n{i} 1 0\n" for i in range(299))
@@ -215,6 +222,26 @@ def test_read_fibers_names_a_bad_record(tmp_path, name, message):
         read_fibers(p)
 
 
+def test_a_well_formed_file_is_parsed_by_one_loadtxt_call(tmp_path, monkeypatch):
+    # without this, a file could silently go through the line-by-line path
+    fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=50, seed=1))
+    p = tmp_path / "f.fib"
+    write_fibers(fibers, p)
+    loadtxt, calls = np.loadtxt, []
+
+    def counted_loadtxt(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("the coordinate lines were read one at a time")
+
+    monkeypatch.setattr(fileio.np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(fileio, "_parse_block", refuse)
+    assert read_fibers(p) == fibers
+    assert len(calls) == 1
+
+
 _WIDE = (
     "fiberset v1 2\nfiber a 3\n-1e100 -1e100 -1e100\n1e100 1e100 1e100\n"
     "-1e100 1e100 -1e100\nfiber b 2\n0 1 0\n1 1 0\n"
@@ -232,12 +259,16 @@ def test_read_fibers_names_a_fiber_wider_than_the_coordinate_bound(tmp_path):
 
 def test_read_fibers_reports_the_first_bad_line(tmp_path):
     p = tmp_path / "f.fib"
-    p.write_bytes(_CORPUS["non-finite before a bad token"].encode())
-    with pytest.raises(FiberFileError, match=r"f\.fib:4: non-finite coordinate$"):
-        read_fibers(p)
-    p.write_bytes(_CORPUS["NaN in the second fiber"].encode())
-    with pytest.raises(FiberFileError, match=r"f\.fib:8: non-finite coordinate$"):
-        read_fibers(p)
+    for name, message in [
+        ("non-finite before a bad token", r":4: non-finite coordinate$"),
+        ("NaN in the second fiber", r":8: non-finite coordinate$"),
+        ("bad token, then a bad record", r":4: unparseable coordinate in '1 x 0'$"),
+        ("repeated point, then trailing content", r":5: invalid fiber 'a': "),
+        ("valid fibers, then a record cut off at end of file", r":11: expected coordinate line"),
+    ]:
+        p.write_bytes(_CORPUS[name].encode())
+        with pytest.raises(FiberFileError, match=r"f\.fib" + message):
+            read_fibers(p)
 
 
 _ODD_LINES = [
@@ -642,6 +673,12 @@ _NEAR_DUPLICATE = (
         pytest.param([*_SIMULATE, "--cluster-std", "-1"], 2, id="simulate-cluster-std-negative"),
         pytest.param(
             [*_SIMULATE, "--direction-jitter-std", "-0.1"], 2, id="simulate-jitter-negative"
+        ),
+        # a jitter of 1e154 overflowed when the direction was normalized
+        pytest.param(
+            ["simulate", "--process", "clustered", "--n", "3", "--direction-jitter-std", "1e154"],
+            2,
+            id="simulate-jitter-huge",
         ),
         pytest.param(
             ["simulate", "--process", "lines", "--n", "1000000000"], 2, id="simulate-too-many-points"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fiberk import simulate
+from fiberk.fiber_core import MAX_COORDINATE
 from fiberk import (
     CenterFunctionKind,
     ProcessKind,
@@ -128,6 +129,22 @@ class TestGenerators:
             angles.append(np.degrees(np.arccos(np.clip(abs(d @ base), -1, 1))))
         assert np.mean(angles) < 15.0
 
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            gen_line,
+            gen_spiral,
+            gen_brownian,
+            lambda length, rng: gen_clustered_line([0.0, 0.0, 1.0], 0.1, length, rng),
+        ],
+        ids=["line", "spiral", "brownian", "clustered"],
+    )
+    def test_arclength_is_length_up_to_rounding(self, generate):
+        # not exact: rescaling and centering round, by up to 6 ulps of 40
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            assert abs(arclength(generate(40.0, rng)) - 40.0) <= 8 * math.ulp(40.0)
+
     def test_clustered_line_requires_unit_direction(self, rng):
         with pytest.raises(ValueError):
             gen_clustered_line([2.0, 0, 0], 0.1, 40.0, rng)
@@ -201,6 +218,7 @@ class TestSimConfigBounds:
             ("cluster_std", -1.0),
             ("direction_jitter_std", math.nan),
             ("direction_jitter_std", -0.1),
+            ("direction_jitter_std", 1e154),
             ("points_per_fiber", 1),
             ("n_clusters", 0),
         ],
@@ -208,6 +226,15 @@ class TestSimConfigBounds:
     def test_rejects_impossible_shape_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(process=ProcessKind.CLUSTERED_LINES, **{field: value})
+
+    def test_largest_admitted_direction_jitter(self):
+        # 1e154 and above overflowed when the jittered direction was normalized
+        cfg = SimConfig(
+            process=ProcessKind.CLUSTERED_LINES, n_fibers=30, direction_jitter_std=MAX_COORDINATE
+        )
+        assert len(make_dataset(cfg)) == 30
+        with pytest.raises(ValueError, match=r"^direction_jitter_std must be <= 1e\+100$"):
+            SimConfig(process=ProcessKind.CLUSTERED_LINES, direction_jitter_std=2 * MAX_COORDINATE)
 
     @pytest.mark.parametrize("field", ["seed", "center_seed", "shape_seed"])
     def test_rejects_a_negative_seed_by_name(self, field):
