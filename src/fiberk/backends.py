@@ -8,6 +8,9 @@ At p = 2 a pair whose atoms all lie within ``_FACTOR_RADIUS`` sigma of the
 origin (the fibers are centered) is summed in factored form: one product of
 scaled positions, one exp and one product of scaled tangents. Every other
 pair, and every other p, is summed from explicit differences.
+
+``_taylor_sums`` estimates p = 2 pair sums from truncated Taylor features,
+each with a proven bound on its distance from the exact sum.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ MAX_PAIR_EVALS = 2**24
 # Most kernel evaluations in one block call from _pair_inner: the float64
 # intermediates of a chunk then take about 2.5 MB.
 _CHUNK_EVALS = 2**16
+
+# Pairs per chunk of per-pair bookkeeping (the Taylor bounds and the bins
+# decided from them): the eight or so float arrays of a chunk then take about
+# _CHUNK_EVALS floats.
+_PAIR_CHUNK = _CHUNK_EVALS // 8
 
 # R: the largest |x| / sigma at which an atom takes the factored p = 2 form.
 # With u = x / sigma, exp(-|x - y|^2 / (2 sigma^2)) = g(x) g(y) exp(u . v)
@@ -190,3 +198,206 @@ def self_norms_sq(pos, tan, offsets, p: float, sigma: float) -> np.ndarray:
     kernel sum of every fiber with itself."""
     each = np.arange(len(offsets) - 1)
     return _pair_inner(pos, tan, offsets, each, each, p, sigma)
+
+
+# Taylor-feature sums at p = 2 (the improved fast Gauss transform; Greengard &
+# Strain 1991, Yang, Duraiswami & Gumerov 2003). The order is the smallest
+# whose relative truncation tail is below _TAYLOR_TOL, and at most
+# _TAYLOR_MAX_ORDER (3 * C(15, 3) = 1,365 features a fiber).
+_TAYLOR_TOL = 1e-13
+_TAYLOR_MAX_ORDER = 12
+# The features of one call may take this many floats per packed atom (twice
+# what the atoms' positions, tangents and factors take together), or
+# _CHUNK_EVALS floats, whichever is more.
+_FEATURE_FLOATS_PER_ATOM = 32
+# A fiber whose weights sum below this keeps the exact sums, so an underflow
+# anywhere in either form stays far below one rounding of the bound.
+_TAYLOR_MIN_WEIGHT = 2.0**-450
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(n):
+    """Higham's ``gamma_n = n u / (1 - n u)``: the relative error bound of a
+    result that went through n roundings."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def _taylor_tail(r, order):
+    """``r^(K+1) / (K+1)!``: with ``e^r``, the bound on the remainder of
+    ``exp(x)`` after its terms of degree at most K, for ``|x| <= r``."""
+    return r ** (order + 1) / math.factorial(order + 1)
+
+
+def _monomials(ut, order):
+    """The monomials ``u^alpha``, ``|alpha| <= order``, of the atoms in the
+    columns of ``ut`` ``(3, n)``: one row each, degree by degree. Within a
+    degree the rows are ordered by their last variable, so the rows of degree
+    d - 1 whose last variable is at most j form a prefix of that degree (of
+    1, d and d (d + 1) / 2 rows for j = 0, 1, 2), and times ``u_j`` they give
+    the rows of degree d whose last variable is j."""
+    mono = np.empty((math.comb(order + 3, 3), ut.shape[1]))
+    mono[0] = 1.0
+    start, end = 0, 1
+    for d in range(1, order + 1):
+        row = end
+        for j, size in enumerate((1, d, d * (d + 1) // 2)):
+            np.multiply(mono[start : start + size], ut[j], out=mono[row : row + size])
+            row += size
+        start, end = end, row
+    return mono
+
+
+def _monomial_scales(order):
+    """``1 / sqrt(alpha!)`` for the rows of ``_monomials(ut, order)``, their
+    multi-indices built in the same order."""
+    alphas, start = [(0, 0, 0)], 0
+    for d in range(1, order + 1):
+        end = len(alphas)
+        for j, size in enumerate((1, d, d * (d + 1) // 2)):
+            for a in alphas[start : start + size]:
+                alphas.append(tuple(x + (i == j) for i, x in enumerate(a)))
+        start = end
+    return np.array([1.0 / math.sqrt(math.prod(map(math.factorial, a))) for a in alphas])
+
+
+def _taylor_features(u, w, offsets, fibers, order):
+    """Feature rows ``F_f[alpha, c] = sum_i u_i^alpha / sqrt(alpha!) w_i[c]``
+    of the given fibers, ``(len(fibers), 3 * n_monomials)``. The fibers are
+    grouped by atom count, and each group is taken in chunks of at most
+    ``_CHUNK_EVALS / 3`` monomial values: several whole fibers, or a run of
+    one fiber's atoms whose products are summed into its features."""
+    n_mono = math.comb(order + 3, 3)
+    sizes = offsets[fibers + 1] - offsets[fibers]
+    out = np.zeros((len(fibers), n_mono, 3))
+    step = max(1, _CHUNK_EVALS // (3 * n_mono))
+    by_size = np.argsort(sizes, kind="stable")
+    for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        m = int(sizes[group[0]])
+        run, per = min(m, step), max(1, step // m)
+        for c in range(0, len(group), per):
+            g = group[c : c + per]
+            for first in range(0, m, run):
+                k = min(run, m - first)
+                a = (offsets[fibers[g]][:, None] + np.arange(first, first + k)).ravel()
+                mono = _monomials(np.ascontiguousarray(u[a].T), order).reshape(n_mono, len(g), k)
+                out[g] += np.matmul(mono.transpose(1, 0, 2), w[a].reshape(len(g), k, 3))
+    out *= _monomial_scales(order)[:, None]
+    return out.reshape(len(fibers), 3 * n_mono)
+
+
+def _refused(n):
+    """``_taylor_sums``'s answer for n pairs none of which takes the form."""
+    return np.full(n, np.nan), np.full(n, np.inf)
+
+
+def _taylor_sums(pos, tan, offsets, ia, ib, sigma):
+    """Taylor-feature estimates of the p = 2 pair sums ``(ia[n], ib[n])``.
+
+    Returns ``(sums, delta)``: ``|sums[n] - x| <= delta[n]`` for the sum x
+    that ``pair_inner_products`` computes for pair n from the same atoms, on
+    any machine. A pair that does not take the Taylor form gets ``sums`` nan
+    and ``delta`` inf.
+
+    **Features.** With ``u = x / sigma`` and ``w = g(x) t`` from
+    ``_factors``, ``exp(u . v) = sum_alpha u^alpha v^alpha / alpha!``, so
+    truncated at order K a pair sum is ``F_a . F_b`` with
+    ``F_f[alpha, c] = sum_i u_i^alpha / sqrt(alpha!) w_i[c]`` over the
+    ``P = C(K + 3, 3)`` multi-indices ``|alpha| <= K``: 3P terms a pair.
+
+    **Which pairs.** Let ``rho_f`` bound ``|u_i|`` over fiber f's atoms, and
+    ``S_f = sum_i |w_i|_1``. A fiber qualifies when
+    ``e^(rho^2) tail(rho^2, _TAYLOR_MAX_ORDER)`` is at most ``_TAYLOR_TOL``
+    (so rho is below 0.74, and the exact sum takes the factored form) and
+    ``S_f >= _TAYLOR_MIN_WEIGHT``. K is the
+    smallest order whose tail ``e^r r^(K+1) / (K+1)!`` is at most
+    ``_TAYLOR_TOL`` at the largest ``r = rho_a rho_b`` over qualifying pairs.
+    A qualifying pair takes the form when ``ma mb > 3P``, so the form never
+    costs more terms than the exact sum; the call takes it only when the
+    features fit in ``_FEATURE_FLOATS_PER_ATOM`` floats per packed atom, or
+    in ``_CHUNK_EVALS`` floats.
+
+    **The bound.** With ``r = rho_a rho_b``, every ``|u_i . v_j| <= r`` and
+    ``sum_alpha |u^alpha v^alpha| / alpha! <= e^(|u| |v|) <= e^r``, so the
+    terms' magnitudes sum to at most ``e^r S_a S_b`` in either form. Each
+    error below is a multiple of that (Higham's ``gamma_n`` for n roundings):
+
+    - truncation: the remainder of ``exp`` after degree K is at most
+      ``e^r r^(K+1) / (K+1)!`` for each atom pair, against
+      ``|w_i . w_j| <= |w_i|_1 |w_j|_1``;
+    - the exact factored sum (``_factored_sums``): ``u . v`` (3 roundings,
+      which exp turns into a relative error of at most gamma_4 for r <= 1),
+      exp (8 roundings: 4 ulps), ``w_i . w_j`` (3), the product (1) and a
+      sum of ma mb terms in any order; another machine's exp also moves each
+      ``w`` by 9 roundings: ``gamma_(ma mb + 34)`` in all;
+    - the features: a monomial takes at most K products, its product with w
+      and the sum over the fiber's atoms in any order ``m_f``, and the scale
+      ``1 / sqrt(alpha!)`` 2 roundings and 1 product; the dot of 3P terms
+      adds 3P: ``gamma_(ma + mb + 2K + 6 + 3P)``.
+
+    One more rounding each covers underflow: with ``S_a, S_b >= 2^-450``,
+    the absolute errors of all subnormal products (at most 2^-1075 each, at
+    most 2^28 of them, each reaching the sum scaled by at most
+    ``e max(1, S_a, S_b)``) stay below ``u e^r S_a S_b``. So
+    ``delta = (r^(K+1) / (K+1)! + gamma_(ma mb + 35) +
+    gamma_(ma + mb + 2K + 3P + 7)) e^r S_a S_b``. ``rho``, ``S`` and r carry
+    a relative margin of 2^-40 (above 4,100 roundings) and delta one of
+    2^-30; ``rho`` also an absolute 2^-500 for a ``|u|^2`` that underflowed.
+    The 4 ulps of exp are what numpy states for its vectorized exp; the
+    rest is IEEE arithmetic with round to nearest.
+    """
+    ia = np.ascontiguousarray(ia, dtype=np.int64)
+    ib = np.ascontiguousarray(ib, dtype=np.int64)
+    sizes = np.diff(offsets)
+    if len(ia) == 0:
+        return _refused(0)
+    u, w, q = _factors(pos, tan, sigma)
+    qmax = np.maximum.reduceat(q, offsets[:-1])
+    weight = np.add.reduceat(np.abs(w).sum(axis=1), offsets[:-1]) * (1.0 + 2.0**-40)
+    with np.errstate(over="ignore"):
+        rho = np.sqrt(qmax) * (1.0 + 2.0**-40) + 2.0**-500
+        rr = rho * rho
+        fits = np.exp(rr) * _taylor_tail(rr, _TAYLOR_MAX_ORDER) <= _TAYLOR_TOL
+    fits &= weight >= _TAYLOR_MIN_WEIGHT
+    fit = fits[ia] & fits[ib]
+    if not fit.any():
+        return _refused(len(ia))
+    r_max = float((rho[ia[fit]] * rho[ib[fit]]).max())
+    order = next(
+        k for k in range(_TAYLOR_MAX_ORDER + 1)
+        if math.exp(r_max) * _taylor_tail(r_max, k) <= _TAYLOR_TOL
+    )
+    n_feat = 3 * math.comb(order + 3, 3)
+    pairs = np.flatnonzero(fit & (sizes[ia] * sizes[ib] > n_feat))
+    used = np.zeros(len(sizes), dtype=bool)
+    used[ia[pairs]] = used[ib[pairs]] = True
+    fibers = np.flatnonzero(used)
+    budget = max(_CHUNK_EVALS, _FEATURE_FLOATS_PER_ATOM * len(pos))
+    if len(pairs) == 0 or len(fibers) * n_feat > budget:
+        return _refused(len(ia))
+    feats = _taylor_features(u, w, offsets, fibers, order)
+    del u, w, q  # the pair loops need only the features: a smaller peak
+    sums, delta = _refused(len(ia))
+    row = np.zeros(len(sizes), dtype=np.int64)
+    row[fibers] = np.arange(len(fibers))
+    # runs of pairs with one first fiber, at most _CHUNK_EVALS features each:
+    # one gather of the partners' rows and one product with the first's row
+    first = ia[pairs]
+    cut = np.zeros(len(pairs) + 1, dtype=bool)
+    cut[1:-1] = first[1:] != first[:-1]
+    cut[:: max(1, _CHUNK_EVALS // n_feat)] = cut[-1] = True
+    bounds = np.flatnonzero(cut).tolist()
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        n = pairs[s:e]
+        sums[n] = feats[row[ib[n]]] @ feats[row[first[s]]]
+    del feats
+    for c in range(0, len(pairs), _PAIR_CHUNK):
+        n = pairs[c : c + _PAIR_CHUNK]
+        a, b = ia[n], ib[n]
+        r = rho[a] * rho[b] * (1.0 + 2.0**-40)
+        coef = (
+            _taylor_tail(r, order)
+            + _gamma(sizes[a] * sizes[b] + 35)
+            + _gamma(sizes[a] + sizes[b] + 2 * order + n_feat + 7)
+        )
+        delta[n] = coef * np.exp(r) * weight[a] * weight[b] * (1.0 + 2.0**-30)
+    return sums, delta

@@ -218,9 +218,11 @@ def _candidate_pairs(centers, in_window, rmax):
     return ia[order], ib[order]
 
 
-def _pair_arrays(fibers, config: KConfig, window: Window | None, rmax):
+def _pair_arrays(fibers, config: KConfig, window: Window | None, rmax, binned=False):
     """Center distances and centered-shape distances for candidate unordered
-    pairs. Returns (in_window, ia, ib, center_dist, shape_dist)."""
+    pairs. Returns (in_window, ia, ib, center_dist, shape): ``shape`` holds
+    the shape distances, or when ``binned`` each pair's index in the s grid
+    (see :func:`_shape_bins`)."""
     centers, pos, tan, offsets = _center_and_pack(
         fibers, config.center_kind, config.resolved_spacing
     )
@@ -233,10 +235,57 @@ def _pair_arrays(fibers, config: KConfig, window: Window | None, rmax):
         return in_window, ia, ib, np.empty(0), np.empty(0)
     p, sigma = config.kernel.p, config.kernel.sigma
     norms_sq = backends.self_norms_sq(pos, tan, offsets, p, sigma)
-    ips = backends.pair_inner_products(pos, tan, offsets, ia, ib, p, sigma)
-    shape_dist = _shape_distance(norms_sq[ia], norms_sq[ib], ips, config.orientation_invariant)
-    center_dist = _center_distances(centers[ia], centers[ib])
-    return in_window, ia, ib, center_dist, shape_dist
+    if binned:
+        shape = _shape_bins(pos, tan, offsets, ia, ib, norms_sq, config)
+    else:
+        ips = backends.pair_inner_products(pos, tan, offsets, ia, ib, p, sigma)
+        shape = _shape_distance(norms_sq[ia], norms_sq[ib], ips, config.orientation_invariant)
+    return in_window, ia, ib, _center_distances(centers[ia], centers[ib]), shape
+
+
+def _shape_bins(pos, tan, offsets, ia, ib, norms_sq, config):
+    """``np.searchsorted(config.s_grid, d)`` for each pair's shape distance d,
+    equal to binning the distances of the exact pair sums: at p = 2 most
+    pairs are binned from their Taylor sums (:func:`_taylor_bins`), and every
+    other pair gets its exact sum from ``backends.pair_inner_products``."""
+    p, sigma = config.kernel.p, config.kernel.sigma
+    if p == 2:
+        bins, exact = _taylor_bins(pos, tan, offsets, ia, ib, norms_sq, config)
+    else:
+        bins, exact = np.empty(len(ia), dtype=np.int64), np.ones(len(ia), dtype=bool)
+    # called even with no pair left, so the pair kernel stays one traced step
+    a, b = ia[exact], ib[exact]
+    ips = backends.pair_inner_products(pos, tan, offsets, a, b, p, sigma)
+    shape_dist = _shape_distance(norms_sq[a], norms_sq[b], ips, config.orientation_invariant)
+    bins[exact] = np.searchsorted(config.s_grid, shape_dist, side="left")
+    return bins
+
+
+def _taylor_bins(pos, tan, offsets, ia, ib, norms_sq, config):
+    """The s bins of the p = 2 pairs that ``backends._taylor_sums`` decides,
+    and the mask of the pairs left for the exact sums.
+
+    ``_shape_distance`` is monotone in the cross sum ``ab`` under IEEE
+    rounding, so the exact distance lies between its values at the ends of
+    ``|ab| +- delta`` (``ab +- delta`` for oriented fibers), rounded outward.
+    A pair whose two ends fall in one bin takes it."""
+    orient, s_grid = config.orientation_invariant, config.s_grid
+    est, delta = backends._taylor_sums(pos, tan, offsets, ia, ib, config.kernel.sigma)
+    taylor = np.flatnonzero(np.isfinite(delta))
+    bins = np.empty(len(ia), dtype=np.int64)
+    exact = np.ones(len(ia), dtype=bool)
+    for c in range(0, len(taylor), backends._PAIR_CHUNK):
+        t = taylor[c : c + backends._PAIR_CHUNK]
+        ab, d = (np.abs(est[t]) if orient else est[t]), delta[t]
+        lo, hi = np.nextafter(ab - d, -np.inf), np.nextafter(ab + d, np.inf)
+        if orient:
+            lo = np.maximum(lo, 0.0)
+        na, nb = norms_sq[ia[t]], norms_sq[ib[t]]
+        first = np.searchsorted(s_grid, _shape_distance(na, nb, hi, orient), side="left")
+        same = first == np.searchsorted(s_grid, _shape_distance(na, nb, lo, orient), side="left")
+        bins[t[same]] = first[same]
+        exact[t[same]] = False
+    return bins, exact
 
 
 def pair_distances(
@@ -277,15 +326,14 @@ def k_function(fibers: list[Fiber], config: KConfig, window: Window) -> KResult:
     the full input (no edge correction: supply an inset window).
     """
     rmax = float(config.t_grid[-1])
-    in_window, ia, ib, cd, sd = _pair_arrays(fibers, config, window, rmax)
+    t_grid, s_grid = config.t_grid, config.s_grid
+    in_window, ia, ib, cd, si = _pair_arrays(fibers, config, window, rmax, binned=True)
     n_in = int(in_window.sum())
     if n_in == 0:
         raise EmptyWindowError("no fiber center inside the observation window")
-    t_grid, s_grid = config.t_grid, config.s_grid
     counts = np.zeros((len(t_grid) + 1, len(s_grid) + 1), dtype=np.int64)
     if len(ia):
         ti = np.searchsorted(t_grid, cd, side="left")
-        si = np.searchsorted(s_grid, sd, side="left")
         weights = in_window[ia].astype(np.int64) + in_window[ib].astype(np.int64)
         np.add.at(counts, (ti, si), weights)
     cum = counts.cumsum(axis=0).cumsum(axis=1)[: len(t_grid), : len(s_grid)]

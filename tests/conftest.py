@@ -64,6 +64,18 @@ def all_pairs_reference(centers, in_window, rmax):
     return ii.astype(np.int64), jj.astype(np.int64)
 
 
+def rebinned_k(records, t_grid, s_grid, n_in):
+    """The K table of ordered ``pair_distances`` records: each record is
+    counted in the cell of the first grid values at or above its center and
+    shape distances, then the counts are summed cumulatively and divided by
+    ``n_in``, as ``k_function`` does."""
+    counts = np.zeros((len(t_grid) + 1, len(s_grid) + 1), dtype=np.int64)
+    for cd, sd, _ in records:
+        counts[np.searchsorted(t_grid, cd), np.searchsorted(s_grid, sd)] += 1
+    cum = counts.cumsum(axis=0).cumsum(axis=1)[: len(t_grid), : len(s_grid)]
+    return cum.astype(np.float64) / n_in
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

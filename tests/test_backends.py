@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberk
 from fiberk import (
@@ -32,7 +34,7 @@ from fiberk.backends import (
     self_norms_sq,
 )
 
-from conftest import smooth_fiber
+from conftest import rebinned_k, smooth_fiber
 
 
 class TestKernelScalar:
@@ -204,6 +206,9 @@ def _difference_form_sums(pos, tan, offsets, ia, ib, p, sigma):
     [ProcessKind.UNIFORM_BROWNIAN, ProcessKind.UNIFORM_LINES, ProcessKind.CLUSTERED_LINES],
 )
 def test_k_counts_equal_counts_from_difference_form_distances(monkeypatch, process, seed):
+    # k_function bins most pairs from Taylor-feature sums, so the counts it
+    # must reproduce come from pair_distances, which sums every pair exactly,
+    # here in the difference form
     fibers = make_dataset(SimConfig(process=process, n_fibers=150, seed=seed))
     config = KConfig(
         kernel=KernelParams(p=2.0, sigma=SIGMA),
@@ -219,9 +224,93 @@ def test_k_counts_equal_counts_from_difference_form_distances(monkeypatch, proce
         return _difference_form_sums(pos, tan, offsets, each, each, p, sigma)
 
     monkeypatch.setattr(backends, "self_norms_sq", self_norms)
-    want = k_function(fibers, config, window)
-    assert got.k.tolist() == want.k.tolist()
+    records = fiberk.pair_distances(fibers, config, window)
+    want = rebinned_k(records, config.t_grid, config.s_grid, got.n_in_window)
+    assert got.k.tolist() == want.tolist()
     assert got.k[-1, 0] < got.k[-1, -1]  # the s grid is not saturated
+
+
+def test_taylor_monomials_are_each_scaled_power_once(rng):
+    u = rng.uniform(-1.0, 1.0, 3)
+    for order in range(backends._TAYLOR_MAX_ORDER + 1):
+        got = backends._monomials(u[:, None], order)[:, 0] * backends._monomial_scales(order)
+        f = math.factorial
+        want = [
+            u[0] ** a * u[1] ** b * u[2] ** c / math.sqrt(f(a) * f(b) * f(c))
+            for a in range(order + 1)
+            for b in range(order + 1 - a)
+            for c in range(order + 1 - a - b)
+        ]
+        np.testing.assert_allclose(np.sort(got), np.sort(want), rtol=1e-13, atol=0)
+
+
+def _taylor_reach():
+    """The largest |x| / sigma at which a fiber can take the Taylor form: where
+    the tail at the highest order reaches the tolerance."""
+    lo, hi = 0.0, backends._FACTOR_RADIUS
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        rr = mid * mid
+        tail = math.exp(rr) * backends._taylor_tail(rr, backends._TAYLOR_MAX_ORDER)
+        lo, hi = (mid, hi) if tail <= backends._TAYLOR_TOL else (lo, mid)
+    return lo
+
+
+TAYLOR_REACH = _taylor_reach()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reach=st.floats(0.01, 0.999),
+    sizes=st.tuples(st.integers(40, 70), st.integers(40, 70)),
+    e=st.integers(-340, 300),
+)
+def test_taylor_sums_lie_within_their_bound_of_the_exact_sums(seed, reach, sizes, e):
+    # Two atom sets whose farthest atom lies at reach * TAYLOR_REACH sigma,
+    # with tangents in random directions (so sums can cancel), everything
+    # scaled by 2^e; at least 40 x 40 atoms, so every pair takes the Taylor
+    # form even at the highest order
+    rng = np.random.default_rng(seed)
+    sigma = math.ldexp(SIGMA, e)
+    currents = []
+    for m in sizes:
+        d = rng.standard_normal((m, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        radii = rng.uniform(0.0, 1.0, m) ** (1 / 3)
+        radii[0] = 1.0
+        pos = d * (radii * reach * TAYLOR_REACH * sigma)[:, None]
+        tan = rng.standard_normal((m, 3)) * (sigma / 20)
+        currents.append(DiscreteCurrent(pos, tan))
+    pos, tan, offsets = _pack(currents)
+    ia, ib = np.array([0, 1, 0, 1]), np.array([1, 0, 0, 1])
+    est, delta = backends._taylor_sums(pos, tan, offsets, ia, ib, sigma)
+    exact = pair_inner_products(pos, tan, offsets, ia, ib, 2.0, sigma)
+    assert np.isfinite(delta).all()
+    assert (np.abs(est - exact) <= delta).all(), (np.abs(est - exact) / delta).max()
+
+
+def test_taylor_sums_refuse_fibers_beyond_their_reach_and_small_pairs(mixed):
+    # NEAR reaches almost 8 sigma and FAR beyond it, so neither takes the
+    # Taylor form; a pair of smooth fibers does once both have enough atoms
+    pos, tan, offsets = _pack(mixed)
+    ia = np.array([NEAR, FAR, 39, 0])
+    ib = np.array([39, 39, 38, 39])
+    est, delta = backends._taylor_sums(pos, tan, offsets, ia, ib, SIGMA)
+    assert np.isinf(delta[:2]).all() and np.isnan(est[:2]).all()
+    assert np.isfinite(delta[2]) and np.isinf(delta[3])  # 40 x 39 atoms, then 1 x 40
+
+
+@pytest.mark.parametrize("e,taylor", [(-345, True), (-600, False)])
+def test_taylor_sums_fall_back_where_their_terms_go_subnormal(mixed, e, taylor):
+    # Scaled by 2^-345 the sums stay far above the subnormal range and take
+    # the Taylor form; scaled by 2^-600 a product of two weights is
+    # subnormal, so the bound could be too small and the pair falls back
+    pos, tan, offsets = _pack(mixed)
+    c = 2.0**e
+    ia, ib = np.array([39, 39]), np.array([38, 39])
+    _, delta = backends._taylor_sums(pos * c, tan * c, offsets, ia, ib, SIGMA * c)
+    assert np.isfinite(delta).tolist() == [taylor, taylor]
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1e-60, 1e-3])
@@ -244,8 +333,10 @@ def test_huge_coordinates_and_a_tiny_sigma_warn_nothing(sigma):
         one = [
             inner(c.positions, c.tangents, c.positions, c.tangents, 2.0, sigma) for c in currents
         ]
+        _, delta = backends._taylor_sums(pos, tan, offsets, [0, 0, 1], [1, 2, 2], sigma)
     assert norms.tolist() == one == [0.25 * b * b, 0.25 * b * b, 1.0]
     assert cross.tolist() == [0.0, 0.0, 0.0]
+    assert np.isinf(delta).all()
 
 
 def test_pair_inner_products_of_no_pairs(mixed):

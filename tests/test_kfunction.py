@@ -27,10 +27,10 @@ from fiberk import (
     translate,
     write_fibers,
 )
-from fiberk import fiber_core, kfunction
+from fiberk import backends, fiber_core, kfunction
 from fiberk.kfunction import _candidate_pairs, saturation_bound
 
-from conftest import all_pairs_reference
+from conftest import all_pairs_reference, rebinned_k
 
 MASS = CenterFunctionKind.MASS_CENTER
 PAPER = KernelParams(p=2.0, sigma=100.0 / 3.0)
@@ -419,6 +419,66 @@ class TestPairDistances:
             for j, s in enumerate(cfg.s_grid):
                 count = sum(1 for cd, sd, _ in recs if cd <= t and sd <= s)
                 assert count == int(round(res.k[i, j] * res.n_in_window))
+
+
+class TestCertifiedBinning:
+    """At p = 2 k_function bins most pairs from Taylor-feature sums with a
+    proven error bound and sums only the rest exactly; pair_distances sums
+    every pair exactly, so its distances, re-binned, must give the same K."""
+
+    @staticmethod
+    def exact_pair_counts(monkeypatch):
+        """How many pairs each call of the exact pair kernel sums."""
+        counts = []
+        real = backends.pair_inner_products
+
+        def spy(pos, tan, offsets, ia, ib, p, sigma):
+            counts.append(len(ia))
+            return real(pos, tan, offsets, ia, ib, p, sigma)
+
+        monkeypatch.setattr(backends, "pair_inner_products", spy)
+        return counts
+
+    @pytest.mark.parametrize("oriented", [False, True])
+    @pytest.mark.parametrize("process", list(ProcessKind))
+    def test_s_edges_on_and_one_ulp_beside_exact_distances(self, monkeypatch, process, oriented):
+        # At spacing sigma / 60 a fiber of length 40 has 72 atoms, so every
+        # process takes the Taylor form; the edges sit on every other exact
+        # distance and one ulp either side of it
+        fibers = _dataset(seed=2, n=80, process=process)
+        config = KConfig(
+            kernel=PAPER,
+            t_grid=np.array([25.0, 50.0]),
+            s_grid=np.array([1.0]),
+            orientation_invariant=not oriented,
+            spacing=PAPER.sigma / 60,
+        )
+        window = inset_window(fibers, MASS, 0.13)
+        records = pair_distances(fibers, config, window, max_center_distance=50.0)
+        d = np.unique([sd for _, sd, _ in records])[::2]
+        edges = np.unique([np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)])
+        config = KConfig(
+            kernel=PAPER,
+            t_grid=config.t_grid,
+            s_grid=edges[edges > 0],
+            orientation_invariant=not oriented,
+            spacing=config.spacing,
+        )
+        counts = self.exact_pair_counts(monkeypatch)
+        got = k_function(fibers, config, window)
+        want = rebinned_k(records, config.t_grid, config.s_grid, got.n_in_window)
+        assert got.k.tolist() == want.tolist()
+        # the exact sums ran, and for fewer than the unordered pairs
+        assert len(counts) == 1 and 0 < 2 * counts[0] < len(records)
+
+    def test_paper_grids_decide_every_pair_of_brownian_seed_1(self, monkeypatch):
+        fibers = _dataset(seed=1, n=500)
+        config = KConfig(
+            kernel=PAPER, t_grid=np.arange(5.0, 51.0, 5.0), s_grid=np.arange(10.0, 101.0, 10.0)
+        )
+        counts = self.exact_pair_counts(monkeypatch)
+        k_function(fibers, config, inset_window(fibers, MASS, 0.13))
+        assert counts == [0]
 
 
 class TestInsetWindow:
