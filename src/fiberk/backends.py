@@ -35,21 +35,38 @@ _SHELL_RTOL = 1e-12
 
 def kernel_scalar(d: float, p: float, sigma: float) -> float:
     """Scalar kernel value at center distance ``d``."""
-    return float(_kernel_of_dist(np.float64(d), p, sigma))
+    return float(_kernel_of_dist(np.array(d, dtype=np.float64), p, sigma))
 
 
-def _kernel_of_dist(d: np.ndarray, p: float, sigma: float) -> np.ndarray:
+def _kernel_of_dist(d: np.ndarray, p: float, sigma: float, out=None) -> np.ndarray:
+    """Kernel values at the distances ``d``, written into ``out`` (which may
+    be ``d``) or into a new array."""
+    if out is None:
+        out = np.empty_like(d)
     if math.isinf(p):
-        k = np.where(d < sigma, 1.0, 0.0)
-        return np.where(np.abs(d - sigma) <= _SHELL_RTOL * sigma, math.exp(-0.5), k)
+        inside = np.less(d, sigma)
+        gap = np.abs(np.subtract(d, sigma, out=out), out=out)
+        shell = np.less_equal(gap, _SHELL_RTOL * sigma)
+        np.copyto(out, inside)
+        np.copyto(out, math.exp(-0.5), where=shell)
+        return out
+    if p == 1 and 1 <= sigma < 2.0**1023:
+        # -0.5 * (d / sigma) in one division: 2 sigma is exact, halving
+        # commutes with rounding (below 2^-1021 both give exp 1) and
+        # d / (2 sigma) <= d cannot overflow
+        return np.exp(np.divide(d, -2.0 * sigma, out=out), out=out)
     with np.errstate(over="ignore"):
-        return np.exp(-0.5 * (d / sigma) ** p)
+        x = np.divide(d, sigma, out=out)
+        if p != 1:  # x ** 1.0 is x
+            x **= p
+    x *= -0.5
+    return np.exp(x, out=x)
 
 
 # Most kernel evaluations one pair of currents may need: inner and _pair_inner
 # evaluate a pair in one block, whose float64 intermediates take 32 B per
-# evaluation in the difference form (40 B for p = inf) and 16 B in the
-# factored p = 2 form, so one block stays near 0.5 GiB. Callers bound the
+# evaluation in the difference form (at every p) and 16 B in the factored
+# p = 2 form, so one block stays near 0.5 GiB. Callers bound the
 # atoms per current to its square root.
 MAX_PAIR_EVALS = 2**24
 
@@ -76,14 +93,17 @@ _FACTOR_RADIUS = 8.0
 def _block_sums(pa, ta, pb, tb, p, sigma) -> np.ndarray:
     """Double kernel sums between atom blocks ``(..., ma, 3)`` and
     ``(..., mb, 3)``, one per leading index, from explicit differences."""
+    # Coordinate-major views, so one broadcast subtraction makes the three
+    # axes' differences. It writes them in C order whatever the layout of pa
+    # and pb, because the bits of exp and of einsum's sum follow the layout.
+    axes = (pa.ndim - 1, *range(pa.ndim - 1))
+    d = np.subtract(pa.transpose(axes)[..., :, None], pb.transpose(axes)[..., None, :], order="C")
+    d *= d
     # x, z, y: the order np.einsum("ijk,ijk->ij") adds them in (numpy 2.4, AVX-512)
-    sq = None
-    for axis in (0, 2, 1):
-        d2 = pa[..., :, None, axis] - pb[..., None, :, axis]
-        d2 *= d2
-        sq = d2 if sq is None else np.add(sq, d2, out=sq)
-    k = _kernel_of_dist(np.sqrt(sq, out=sq), p, sigma)
-    return np.einsum("...ij,...ij->...", k, ta @ np.swapaxes(tb, -1, -2))
+    sq = np.add(d[0], d[2], out=d[0])
+    sq += d[1]
+    k = _kernel_of_dist(np.sqrt(sq, out=sq), p, sigma, out=sq)
+    return np.einsum("...ij,...ij->...", k, ta @ tb.swapaxes(-1, -2))
 
 
 def _factors(pos, tan, sigma):
@@ -118,9 +138,9 @@ def inner(pos_a, tan_a, pos_b, tan_b, p: float, sigma: float) -> float:
     """Double kernel sum between two atom sets.
 
     Kept apart from ``_pair_inner``: one pair packed for it gives the same bits
-    but takes 2.2 to 3.3 times as long (6,000 seed-1 Brownian pairs at p = 1, 2
-    and inf, best of 3, numpy 2.4 on x86-64), 0.8 to 1.5 s more on the 20,100
-    calls of ``fiberk dist`` on 200 fibers."""
+    but takes 2.0 to 3.7 times as long (6,000 seed-1 Brownian pairs at p = 1, 2
+    and inf, best of 7, numpy 2.4 on a 2-core x86-64 VM), 0.6 to 0.9 s more
+    on the 20,100 calls of ``fiberk dist`` on 200 fibers."""
     if p == 2:
         ua, wa, qa = _factors(pos_a, tan_a, sigma)
         if _same_buffer(pos_a, pos_b) and _same_buffer(tan_a, tan_b):
@@ -161,29 +181,37 @@ def _pair_inner(pos, tan, offsets, ia, ib, p, sigma) -> np.ndarray:
     key = key * 2 + (factored[ia] & factored[ib])
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order])) + 1
+    coords = None
     for group in np.split(order, starts):
         first = group[0]
         ma, mb = int(sizes[ia[first]]), int(sizes[ib[first]])
         same = ia[first] == ib[first]
         form = factored[ia[first]] and factored[ib[first]]
-        xs, ys = (u, w) if form else (pos, tan)
         step = max(1, _CHUNK_EVALS // max(1, ma * mb))
         if form:
+            xs, ys, axis = u, w, 0
             # one pair of intermediates per group: freeing and allocating
             # them per chunk costs page faults when the heap is trimmed
             e, m = np.empty((2, min(step, len(group)), ma, mb))
+        else:
+            if coords is None:
+                # coordinate-major positions: a gathered block is (3, n, m),
+                # the layout _block_sums subtracts in
+                coords = np.ascontiguousarray(pos.T)
+            xs, ys, axis = coords, tan, 1
         for c in range(0, len(group), step):
             n = group[c : c + step]
             a = offsets[ia[n]][:, None] + np.arange(ma)
-            xa, ya = np.take(xs, a, axis=0), np.take(ys, a, axis=0)
+            xa, ya = np.take(xs, a, axis=axis), np.take(ys, a, axis=0)
             if same:
                 xb, yb = xa, ya
             else:
                 b = offsets[ib[n]][:, None] + np.arange(mb)
-                xb, yb = np.take(xs, b, axis=0), np.take(ys, b, axis=0)
+                xb, yb = np.take(xs, b, axis=axis), np.take(ys, b, axis=0)
             if form:
                 out[n] = _factored_sums(xa, ya, xb, yb, e[: len(n)], m[: len(n)])
             else:
+                xa, xb = xa.transpose(1, 2, 0), xb.transpose(1, 2, 0)
                 out[n] = _block_sums(xa, ya, xb, yb, p, sigma)
     return out
 

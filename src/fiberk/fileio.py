@@ -15,7 +15,6 @@ values, so any row order reads back the same.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -33,12 +32,16 @@ class FiberFileError(ValueError):
 
 def _atomic_write(path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then move it onto
-    ``path``. On any failure the temporary file is removed; an OS error is
+    ``path``. The file gets the mode ``open`` gives a new file, 0o666 less
+    the umask (``tempfile.mkstemp`` would give 0o600), whether or not ``path``
+    existed. On any failure the temporary file is removed; an OS error is
     raised again as ``OSError("cannot write <path>: <reason>")``."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fiberk-tmp-")
+        name = os.path.join(directory, f".fiberk-tmp-{os.urandom(8).hex()}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -60,6 +61,19 @@ class TestKernelScalar:
             assert inner(np.zeros((1, 3)), one, d * one, one, math.inf, sigma) == shell
         assert kernel_scalar(sigma * (1 + 1e-9), math.inf, sigma) == 0.0
         assert kernel_scalar(sigma * (1 - 1e-9), math.inf, sigma) == 1.0
+
+
+@pytest.mark.parametrize(
+    "sigma", [1.0, 100.0 / 3.0, 2.0**600, 2.0**1023 - 2.0**970, 2.0**1023, 0.5, 1e-300]
+)
+def test_kernel_at_p_1_is_its_formula_bit_for_bit(rng, sigma):
+    # distances over the whole float range; from 1 to just below 2^1023 the
+    # kernel divides by -2 sigma in one step, elsewhere it does not
+    d = np.ldexp(rng.uniform(1.0, 2.0, 20000), rng.integers(-1074, 1024, 20000))
+    d = np.concatenate([d, [0.0, 5e-324, sigma, np.inf]])
+    with np.errstate(over="ignore"):
+        want = np.exp(-0.5 * (d / sigma))
+    assert _kernel_of_dist(d, 1.0, sigma).tobytes() == want.tobytes()
 
 
 def _pack(currents):
@@ -313,11 +327,13 @@ def test_taylor_sums_fall_back_where_their_terms_go_subnormal(mixed, e, taylor):
     assert np.isfinite(delta).tolist() == [taylor, taylor]
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 1024.0, math.inf])
 @pytest.mark.parametrize("sigma", [1e-300, 1e-60, 1e-3])
-def test_huge_coordinates_and_a_tiny_sigma_warn_nothing(sigma):
+def test_huge_coordinates_and_a_tiny_sigma_warn_nothing(sigma, p):
     # Atoms at 2.5e99 and 0.5: |x| / sigma overflows at sigma = 1e-300, its
-    # square does at 1e-60, and at 1e-3 both are far beyond the factored
-    # form's radius. None of this may warn, and every kernel value is 0 or 1.
+    # square (or its p-th power) does at 1e-60, and at 1e-3 both are far
+    # beyond the factored form's radius. None of this may warn, and every
+    # kernel value is 0 or 1.
     b = fiberk.fiber_core.MAX_COORDINATE
     fibers = [
         Fiber("a", [[0, 0, 0], [0.5 * b, 0, 0]]),
@@ -328,15 +344,71 @@ def test_huge_coordinates_and_a_tiny_sigma_warn_nothing(sigma):
     pos, tan, offsets = _pack(currents)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norms = self_norms_sq(pos, tan, offsets, 2.0, sigma)
-        cross = pair_inner_products(pos, tan, offsets, [0, 0, 1], [1, 2, 2], 2.0, sigma)
-        one = [
-            inner(c.positions, c.tangents, c.positions, c.tangents, 2.0, sigma) for c in currents
-        ]
+        norms = self_norms_sq(pos, tan, offsets, p, sigma)
+        cross = pair_inner_products(pos, tan, offsets, [0, 0, 1], [1, 2, 2], p, sigma)
+        one = [inner(c.positions, c.tangents, c.positions, c.tangents, p, sigma) for c in currents]
         _, delta = backends._taylor_sums(pos, tan, offsets, [0, 0, 1], [1, 2, 2], sigma)
     assert norms.tolist() == one == [0.25 * b * b, 0.25 * b * b, 1.0]
     assert cross.tolist() == [0.0, 0.0, 0.0]
     assert np.isinf(delta).all()
+
+
+def _layouts(x):
+    """``x`` (``(..., m, 3)``) in C order, in Fortran order, as a view that
+    runs backwards along every axis, and as a view of every other column of a
+    wider array: the same values in four memory layouts."""
+    wide = np.zeros((*x.shape[:-1], 6))
+    wide[..., ::2] = x
+    flipped = tuple(slice(None, None, -1) for _ in x.shape)
+    return {
+        "C": np.ascontiguousarray(x),
+        "F": np.asfortranarray(x),
+        "reversed": np.ascontiguousarray(x[flipped])[flipped],
+        "column slice": wide[..., ::2],
+    }
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, 1024.0, math.inf])
+@pytest.mark.parametrize("sigma", [0.5, 10.0])
+def test_difference_form_sums_do_not_depend_on_the_positions_layout(mixed, p, sigma):
+    # the bits of exp and of einsum's sum follow the layout of their
+    # operands, so the differences must come out C-ordered whatever the
+    # layout of the positions (the tangents go to BLAS, which has rules of
+    # its own, and stay C-ordered here)
+    twenty = [c for c in mixed if len(c) == 20][:6]
+    pos, tan = np.stack([c.positions for c in twenty]), np.stack([c.tangents for c in twenty])
+    pa, ta, pb, tb = pos[:3], tan[:3], pos[3:], tan[3:]
+    cross = [(mixed[i], mixed[j]) for i, j in [(0, 39), (25, 31), (NEAR, FAR), (39, 7), (5, 5)]]
+    want_block = _block_sums(pa, ta, pb, tb, p, sigma).tolist()
+    assert want_block == [inner(pa[n], ta[n], pb[n], tb[n], p, sigma) for n in range(3)]
+    want = [inner(a.positions, a.tangents, b.positions, b.tangents, p, sigma) for a, b in cross]
+    for layout in _layouts(pa):
+        xa, xb = _layouts(pa)[layout], _layouts(pb)[layout]
+        pairs = [(_layouts(a.positions)[layout], _layouts(b.positions)[layout]) for a, b in cross]
+        inputs = [xa, xb, ta, tb, *(x for pair in pairs for x in pair)]
+        before = [x.copy() for x in inputs]
+        assert _block_sums(xa, ta, xb, tb, p, sigma).tolist() == want_block, layout
+        got = [
+            inner(x, a.tangents, y, b.tangents, p, sigma) for (x, y), (a, b) in zip(pairs, cross)
+        ]
+        assert got == want, layout
+        # the in-place kernel writes only into arrays of its own
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(inputs, before)), layout
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_difference_form_takes_32_bytes_per_kernel_evaluation(rng, p):
+    # MAX_PAIR_EVALS is sized for 32 B of intermediates per evaluation
+    m = 512
+    pa, pb = rng.uniform(-100.0, 100.0, (2, m, 3))
+    ta, tb = rng.standard_normal((2, m, 3))
+    tracemalloc.start()
+    try:
+        inner(pa, ta, pb, tb, p, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * m * m + 2**12
 
 
 def test_pair_inner_products_of_no_pairs(mixed):

@@ -1,5 +1,7 @@
 import csv
+import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -901,6 +903,26 @@ def test_write_error_names_the_output(dataset_file, tmp_path, capsys, command, t
     assert err.count("\n") == 1
     assert ".fiberk-tmp-" not in err
     assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".fiberk-tmp-")]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_outputs_get_the_mode_the_umask_gives_a_new_file(
+    dataset_file, tmp_path, command, umask, mode
+):
+    # an output gets the mode open() gives a new file under the umask (not
+    # 0o600, as tempfile.mkstemp would), also where it replaces another file
+    argv = [str(dataset_file) if a == "{data}" else a for a in _COMMANDS[command]]
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert run([*argv, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        out.chmod(0o640)
+        assert run([*argv, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+    finally:
+        os.umask(old)
 
 
 @pytest.mark.parametrize(
