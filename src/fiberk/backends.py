@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "kernel_scalar",
     "inner",
     "pair_inner_products",
     "self_norms_sq",
@@ -31,11 +30,6 @@ __all__ = [
 USE_NUMBA = False
 
 _SHELL_RTOL = 1e-12
-
-
-def kernel_scalar(d: float, p: float, sigma: float) -> float:
-    """Scalar kernel value at center distance ``d``."""
-    return float(_kernel_of_dist(np.array(d, dtype=np.float64), p, sigma))
 
 
 def _kernel_of_dist(d: np.ndarray, p: float, sigma: float, out=None) -> np.ndarray:

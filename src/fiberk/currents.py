@@ -20,14 +20,10 @@ from .fiber_core import Fiber, _resampled_points
 __all__ = [
     "KernelParams",
     "DiscreteCurrent",
-    "kernel_eval",
     "discretize",
-    "flip",
     "inner_product",
-    "norm",
     "distance",
     "min_distance",
-    "short_line_limit",
 ]
 
 
@@ -92,13 +88,6 @@ class DiscreteCurrent:
         return self.positions.shape[0]
 
 
-def kernel_eval(params: KernelParams, x, y) -> float:
-    """Scalar kernel factor between two points (the matrix kernel is this
-    scalar times the identity)."""
-    d = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-    return backends.kernel_scalar(d, params.p, params.sigma)
-
-
 def discretize(fiber: Fiber, spacing: float) -> DiscreteCurrent:
     """Resample as ``resample`` does and emit one atom per resampled chord:
     position at the chord midpoint, weighted tangent equal to the chord
@@ -108,18 +97,12 @@ def discretize(fiber: Fiber, spacing: float) -> DiscreteCurrent:
     return DiscreteCurrent(0.5 * (pts[:-1] + pts[1:]), pts[1:] - pts[:-1])
 
 
-def flip(current: DiscreteCurrent) -> DiscreteCurrent:
-    """The same curve with opposite orientation: atom order reversed and
-    weighted tangents negated."""
-    return DiscreteCurrent(current.positions[::-1], -current.tangents[::-1])
-
-
 def _signed_canonical(current: DiscreteCurrent):
     # Canonical representative of the orientation class: of the two equivalent
     # atom listings (forward, and reversed-with-negated-tangents, which is the
     # same current with opposite sign) keep the byte-wise smaller one and
-    # remember the sign. Negation is an exact bit flip, so a current and its
-    # flip share one representative and their inner products cancel exactly.
+    # remember the sign. Negation is exact, so a current and its reversal
+    # share one representative and their inner products cancel exactly.
     if current._canonical is None:
         fwd = (current.positions, current.tangents)
         rev = (
@@ -157,15 +140,14 @@ def inner_product(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) 
     return sa * sb * backends.inner(pa, ta, pb, tb, params.p, params.sigma)
 
 
-def norm(a: DiscreteCurrent, params: KernelParams) -> float:
-    """Hilbert norm of the current."""
-    return math.sqrt(max(0.0, inner_product(a, a, params)))
-
-
 def _shape_distance(na, nb, ab, orientation_invariant: bool):
     """Elementwise sqrt(max(0, na + nb - 2 ab)) from squared norms and cross
-    inner products; the orientation-minimal distance uses |ab|. The max guards
-    floating-point cancellation for near-identical curves."""
+    inner products; the orientation-minimal distance uses |ab|. For
+    0 < p <= 2 the kernel is positive definite, and the max guards only
+    floating-point cancellation for near-identical curves. For p > 2 it is
+    not (Schoenberg 1938): na + nb - 2 ab can be truly negative (788 of the
+    19,900 pairs of 200 seed-1 clustered lines at p = inf, by up to 0.56% of
+    na + nb), and the max turns such a pair into distance 0."""
     if orientation_invariant:
         ab = abs(ab)
     return np.sqrt(np.maximum(0.0, na + nb - 2.0 * ab))
@@ -185,21 +167,3 @@ def min_distance(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) -
     """
     na, nb = inner_product(a, a, params), inner_product(b, b, params)
     return float(_shape_distance(na, nb, inner_product(a, b, params), True))
-
-
-def short_line_limit(x_u, x_v, u, v, params: KernelParams) -> float:
-    """Analytic limit of d(line_u, line_v)^2 / T^2 for very short lines.
-
-    ``x_u``, ``x_v`` are the line base points and ``u``, ``v`` the direction
-    vectors. Valid for finite ``p``; serves as a validation oracle for
-    ``min_distance`` on short discretized lines.
-    """
-    if math.isinf(params.p):
-        raise ValueError("short_line_limit requires finite p")
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    d0 = float(u @ u + v @ v)
-    uv = float(u @ v)
-    d1 = max(uv, -uv)
-    k = kernel_eval(params, x_u, x_v)
-    return d0 - 2.0 * k * d1

@@ -20,8 +20,6 @@ __all__ = [
     "arclength",
     "resample",
     "center",
-    "translate",
-    "reverse",
     "segment",
 ]
 
@@ -146,10 +144,6 @@ class Window:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return np.all((pts >= self.lower) & (pts < self.upper), axis=1)
 
-    def translate(self, v) -> "Window":
-        v = np.asarray(v, dtype=np.float64)
-        return Window(self.lower + v, self.upper + v)
-
 
 def _seg_lengths(pts: np.ndarray) -> np.ndarray:
     # np.linalg.norm(d, axis=1) for real d, without its wrapper
@@ -268,17 +262,6 @@ def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     """
     c = _center_of(fiber, kind)
     return CenteredFiber(original_center=c, fiber=Fiber(fiber.id, fiber.points - c))
-
-
-def translate(fiber: Fiber, v) -> Fiber:
-    """Shift every point by the vector ``v``."""
-    v = np.asarray(v, dtype=np.float64)
-    return Fiber(fiber.id, fiber.points + v)
-
-
-def reverse(fiber: Fiber) -> Fiber:
-    """Reverse the point order (opposite orientation)."""
-    return Fiber(fiber.id, fiber.points[::-1])
 
 
 def segment(fiber: Fiber, max_length: float) -> list[Fiber]:

@@ -8,8 +8,7 @@ Fiber file layout (LF line endings, '.' decimal separator):
     ...
 
 K CSV layout: header ``t,s,k`` then one row per grid cell in t-major order,
-values at 17 significant digits. The reader places each row by its ``(t, s)``
-values, so any row order reads back the same.
+values at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .fiber_core import Fiber
 
-__all__ = ["FiberFileError", "read_fibers", "write_fibers", "write_kcsv", "read_kcsv"]
+__all__ = ["FiberFileError", "read_fibers", "write_fibers", "write_kcsv"]
 
 _HEADER_MAGIC = "fiberset"
 _VERSION = "v1"
@@ -145,12 +144,15 @@ def read_fibers(path) -> list[Fiber]:
     rows = []
     for _, at, n in records:
         rows += lines[at : at + n]
+    # loadtxt skips blank lines, and any token it reads as finite, float()
+    # reads the same; so only a full, finite result is taken. A blank first
+    # row goes straight to the line-by-line parse, which reports it: loadtxt
+    # would warn if every row were blank.
     try:
-        pts = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2) if rows else None
+        one_call = bool(rows and rows[0].split())
+        pts = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2) if one_call else None
     except ValueError:
         pts = None
-    # loadtxt skips blank lines, and any token it reads as finite, float()
-    # reads the same; so only a full, finite result is taken
     if pts is not None and (pts.shape != (len(rows), 3) or not np.isfinite(pts).all()):
         pts = None
     fibers: list[Fiber] = []
@@ -174,38 +176,3 @@ def write_kcsv(result, path) -> None:
         for j, s in enumerate(result.s_grid):
             rows.append(f"{t:.17g},{s:.17g},{result.k[i, j]:.17g}")
     _atomic_write(path, "\n".join(rows) + "\n")
-
-
-def read_kcsv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reconstruct (t_grid, s_grid, k matrix) from a K CSV file."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "t,s,k":
-        raise ValueError(f"{path}: missing 't,s,k' header")
-    ts, ss, ks = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 't,s,k' values, got {line!r}")
-        try:
-            t, s, k = (float(v) for v in fields)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: unparseable value in {line!r}") from None
-        ts.append(t)
-        ss.append(s)
-        ks.append(k)
-    t_grid = np.unique(ts)
-    s_grid = np.unique(ss)
-    if len(ts) != len(t_grid) * len(s_grid):
-        raise ValueError(f"{path}: row count does not match grid")
-    # each row goes to the cell of its (t, s) values; with the count check,
-    # no repeated cell means every cell is filled exactly once
-    cell = np.searchsorted(t_grid, ts) * len(s_grid) + np.searchsorted(s_grid, ss)
-    order = np.argsort(cell, kind="stable")
-    repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
-    if len(repeats):
-        lineno = int(repeats.min()) + 2
-        raise ValueError(f"{path}:{lineno}: repeated (t, s) cell in {lines[lineno - 1]!r}")
-    k = np.empty(len(ks))
-    k[cell] = ks
-    return t_grid, s_grid, k.reshape(len(t_grid), len(s_grid))

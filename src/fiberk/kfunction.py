@@ -27,7 +27,6 @@ __all__ = [
     "pair_distances",
     "k_function",
     "inset_window",
-    "saturation_bound",
 ]
 
 
@@ -363,17 +362,3 @@ def inset_window(
     if np.any(ext <= 0):
         raise ValueError("degenerate center bounding box")
     return Window(lo + fraction * ext, hi - fraction * ext)
-
-
-def saturation_bound(fibers: list[Fiber], config: KConfig) -> float:
-    """An s value at which the shape indicator always fires: the a.s. bound
-    sqrt(2 (||a||^2 + ||b||^2)) maximized over pairs (top two norms)."""
-    if not fibers:
-        raise ValueError("saturation_bound needs at least one fiber")
-    _, pos, tan, offsets = _center_and_pack(fibers, config.center_kind, config.resolved_spacing)
-    norms_sq = backends.self_norms_sq(pos, tan, offsets, config.kernel.p, config.kernel.sigma)
-    if len(norms_sq) < 2:
-        top = np.concatenate([norms_sq, norms_sq])
-    else:
-        top = np.sort(norms_sq)[-2:]
-    return math.sqrt(2.0 * float(top.sum())) * (1.0 + 1e-9)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,17 @@ def rebinned_k(records, t_grid, s_grid, n_in):
         counts[np.searchsorted(t_grid, cd), np.searchsorted(s_grid, sd)] += 1
     cum = counts.cumsum(axis=0).cumsum(axis=1)[: len(t_grid), : len(s_grid)]
     return cum.astype(np.float64) / n_in
+
+
+def read_k_table(path):
+    """``(t_grid, s_grid, k)`` of a K CSV: a ``t,s,k`` header, then one row
+    per cell in t-major order."""
+    assert Path(path).read_text().startswith("t,s,k\n")
+    t, s, k = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    t_grid, s_grid = np.unique(t), np.unique(s)
+    assert np.array_equal(t, np.repeat(t_grid, len(s_grid)))
+    assert np.array_equal(s, np.tile(s_grid, len(t_grid)))
+    return t_grid, s_grid, k.reshape(len(t_grid), len(s_grid))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Straightforward reference versions of the fiber-file parser, of
 ``segment`` and of the currents inner product, kept as test oracles for the
-vectorised or cached library code.
+vectorised or cached library code, and the analytic short-line limit of the
+currents distance.
 
 ``read_fibers_by_line`` parses one coordinate line at a time and
 ``segment_by_piece`` interpolates the two cut points of each piece
@@ -144,3 +145,15 @@ def distance_per_call(a, b, params) -> float:
 
 def min_distance_per_call(a, b, params) -> float:
     return _distance_per_call(a, b, params, True)
+
+
+def short_line_limit(x_u, x_v, u, v, params) -> float:
+    """Analytic limit of d(line_u, line_v)^2 / T^2 for two lines of length
+    T -> 0 with base points ``x_u``, ``x_v`` and directions ``u``, ``v``:
+    |u|^2 + |v|^2 - 2 k |u . v| with k = exp(-0.5 (|x_u - x_v| / sigma)^p).
+    Valid for finite p; the oracle for ``min_distance`` on short lines."""
+    if math.isinf(params.p):
+        raise ValueError("short_line_limit requires finite p")
+    u, v = np.asarray(u, float), np.asarray(v, float)
+    k = math.exp(-0.5 * (math.dist(x_u, x_v) / params.sigma) ** params.p)
+    return float(u @ u + v @ v) - 2.0 * k * abs(float(u @ v))

@@ -31,11 +31,14 @@ from fiberk.backends import (
     _kernel_of_dist,
     inner,
     pair_inner_products,
-    kernel_scalar,
     self_norms_sq,
 )
 
 from conftest import rebinned_k, smooth_fiber
+
+
+def kernel_scalar(d, p, sigma):
+    return float(_kernel_of_dist(np.array(d, dtype=np.float64), p, sigma))
 
 
 class TestKernelScalar:
@@ -45,6 +48,10 @@ class TestKernelScalar:
 
     def test_huge_exponent_no_overflow(self):
         assert kernel_scalar(2.0, 1024.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("d, want", [(0.9, 1.0), (1.1, 0.0)])
+    def test_huge_exponent_approaches_the_step(self, d, want):
+        assert kernel_scalar(d, 1024.0, 1.0) == pytest.approx(want, abs=1e-6)
 
     def test_infinite_p(self):
         assert kernel_scalar(0.5, math.inf, 1.0) == 1.0

@@ -10,23 +10,29 @@ from fiberk import (
     DiscreteCurrent,
     Fiber,
     KernelParams,
+    ProcessKind,
+    SimConfig,
     arclength,
+    backends,
     center,
     discretize,
     distance,
-    flip,
     inner_product,
-    kernel_eval,
+    make_dataset,
     min_distance,
-    norm,
     resample,
-    short_line_limit,
-    translate,
 )
+from fiberk.currents import _shape_distance
+from fiberk.kfunction import _center_and_pack
 from fiberk.simulate import gen_brownian
 
 from conftest import smooth_fiber, unit_vector
-from reference_impls import distance_per_call, inner_product_per_call, min_distance_per_call
+from reference_impls import (
+    distance_per_call,
+    inner_product_per_call,
+    min_distance_per_call,
+    short_line_limit,
+)
 
 P2 = KernelParams(p=2.0, sigma=1.0)
 PAPER = KernelParams(p=2.0, sigma=100.0 / 3.0)
@@ -48,26 +54,7 @@ def fine_riemann_inner(fa, fb, spacing, params):
     return float((k * (ta @ tb.T)).sum())
 
 
-class TestKernelEval:
-    def test_zero_distance(self):
-        assert kernel_eval(P2, [1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_at_sigma(self):
-        assert kernel_eval(P2, [0, 0, 0], [1, 0, 0]) == pytest.approx(
-            math.exp(-0.5), abs=1e-12
-        )
-
-    def test_large_p_approaches_step(self):
-        params = KernelParams(p=1024.0, sigma=1.0)
-        assert kernel_eval(params, [0, 0, 0], [0.9, 0, 0]) == pytest.approx(1.0, abs=1e-6)
-        assert kernel_eval(params, [0, 0, 0], [1.1, 0, 0]) == pytest.approx(0.0, abs=1e-6)
-
-    def test_p_infinity_three_cases(self):
-        params = KernelParams(p=math.inf, sigma=2.0)
-        assert kernel_eval(params, [0, 0, 0], [1.0, 0, 0]) == 1.0
-        assert kernel_eval(params, [0, 0, 0], [2.0, 0, 0]) == pytest.approx(math.exp(-0.5))
-        assert kernel_eval(params, [0, 0, 0], [3.0, 0, 0]) == 0.0
-
+class TestKernelParams:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             KernelParams(p=0.0, sigma=1.0)
@@ -165,14 +152,17 @@ class TestInnerProduct:
 
 class TestNorm:
     def test_single_unit_atom(self):
-        assert norm(atom([0, 0, 0], [1, 0, 0]), P2) == pytest.approx(1.0)
+        a = atom([0, 0, 0], [1, 0, 0])
+        assert math.sqrt(inner_product(a, a, P2)) == pytest.approx(1.0)
 
     def test_bilinearity_scale(self):
-        assert norm(atom([0, 0, 0], [10.0, 0, 0]), P2) == pytest.approx(10.0)
+        a = atom([0, 0, 0], [10.0, 0, 0])
+        assert math.sqrt(inner_product(a, a, P2)) == pytest.approx(10.0)
 
     def test_against_fine_oracle(self, rng):
         f = Fiber("f", [[0, 0, 0], [40.0, 0, 0]])
-        n2 = norm(discretize(f, PAPER.sigma / 20.0), PAPER) ** 2
+        a = discretize(f, PAPER.sigma / 20.0)
+        n2 = inner_product(a, a, PAPER)
         fine = fine_riemann_inner(f, f, PAPER.sigma / 500.0, PAPER)
         assert n2 == pytest.approx(fine, rel=1e-3)
 
@@ -201,9 +191,8 @@ class TestDistance:
             fa, fb = smooth_fiber(rng, fid="a"), smooth_fiber(rng, fid="b")
             h = rng.uniform(-100, 100, 3)
             d0 = distance(discretize(fa, 2.0), discretize(fb, 2.0), PAPER)
-            d1 = distance(
-                discretize(translate(fa, h), 2.0), discretize(translate(fb, h), 2.0), PAPER
-            )
+            ma, mb = Fiber(fa.id, fa.points + h), Fiber(fb.id, fb.points + h)
+            d1 = distance(discretize(ma, 2.0), discretize(mb, 2.0), PAPER)
             assert d1 == pytest.approx(d0, rel=1e-9)
 
     def test_convergence_under_halved_spacing(self, rng):
@@ -221,15 +210,17 @@ class TestDistance:
 class TestMinDistance:
     def test_flip_gives_zero(self, rng):
         a = discretize(smooth_fiber(rng), 2.0)
-        assert min_distance(a, flip(a), PAPER) <= 1e-9 * norm(a, PAPER)
+        reversed_a = DiscreteCurrent(a.positions[::-1], -a.tangents[::-1])
+        assert min_distance(a, reversed_a, PAPER) <= 1e-9 * math.sqrt(inner_product(a, a, PAPER))
 
     def test_flip_cancels_exactly(self, rng):
         # A current and its flip share one canonical listing, so their self
         # inner products and their orientation-minimal distance are exact.
         for _ in range(300):
             a = discretize(smooth_fiber(rng), 2.0)
-            assert inner_product(flip(a), flip(a), PAPER) == inner_product(a, a, PAPER)
-            assert min_distance(a, flip(a), PAPER) == 0.0
+            reversed_a = DiscreteCurrent(a.positions[::-1], -a.tangents[::-1])
+            assert inner_product(reversed_a, reversed_a, PAPER) == inner_product(a, a, PAPER)
+            assert min_distance(a, reversed_a, PAPER) == 0.0
 
     def test_not_larger_than_oriented(self, rng):
         for _ in range(50):
@@ -242,14 +233,17 @@ class TestMinDistance:
             a = discretize(smooth_fiber(rng, fid="a"), 2.0)
             b = discretize(smooth_fiber(rng, fid="b"), 2.0)
             assert min_distance(a, b, PAPER) == pytest.approx(
-                min_distance(flip(a), b, PAPER), rel=1e-12, abs=1e-12
+                min_distance(DiscreteCurrent(a.positions[::-1], -a.tangents[::-1]), b, PAPER),
+                rel=1e-12,
+                abs=1e-12,
             )
 
     def test_matches_explicit_min_over_flip(self, rng):
         for _ in range(50):
             a = discretize(smooth_fiber(rng, fid="a"), 2.0)
             b = discretize(smooth_fiber(rng, fid="b"), 2.0)
-            explicit = min(distance(a, b, PAPER), distance(a, flip(b), PAPER))
+            reversed_b = DiscreteCurrent(b.positions[::-1], -b.tangents[::-1])
+            explicit = min(distance(a, b, PAPER), distance(a, reversed_b, PAPER))
             assert min_distance(a, b, PAPER) == explicit
 
     def test_pseudometric_triangle_on_orientation_classes(self, rng):
@@ -267,7 +261,7 @@ class TestCachedSums:
     def test_flip_distance_exactly_zero(self, rng):
         for _ in range(20):
             a = discretize(smooth_fiber(rng), 2.0)
-            b = flip(a)
+            b = DiscreteCurrent(a.positions[::-1], -a.tangents[::-1])
             assert min_distance(a, b, PAPER) == 0.0
             assert min_distance(b, a, PAPER) == 0.0
             assert inner_product(a, b, PAPER) == inner_product_per_call(a, b, PAPER)
@@ -278,7 +272,7 @@ class TestCachedSums:
         b = DiscreteCurrent(a.positions.copy(), a.tangents.copy())
         assert inner_product(a, b, PAPER) == inner_product_per_call(a, b, PAPER)
         assert inner_product(b, a, PAPER) == inner_product_per_call(b, a, PAPER)
-        assert norm(b, PAPER) == norm(a, PAPER)
+        assert inner_product(b, b, PAPER) == inner_product(a, a, PAPER)
         assert min_distance(a, b, PAPER) == 0.0
         assert distance(a, b, PAPER) == 0.0
 
@@ -315,10 +309,11 @@ class TestCachedSums:
         elif partner == "copy":
             b = DiscreteCurrent(a.positions.copy(), a.tangents.copy())
         else:
-            b = flip(a)
+            b = DiscreteCurrent(a.positions[::-1], -a.tangents[::-1])
         want = inner_product_per_call(a, b, params)
         for name in warm:
-            norm({"a": a, "b": b}[name], params)
+            c = {"a": a, "b": b}[name]
+            inner_product(c, c, params)
         first, second = (a, b) if a_first else (b, a)
         assert inner_product(first, second, params) == want
         assert inner_product(second, first, params) == want
@@ -364,3 +359,31 @@ class TestMetricOnBrownianShapes:
                 d = distance(shapes[i], shapes[j], PAPER)
                 assert math.isfinite(d) and d >= 0
                 assert d == distance(shapes[j], shapes[i], PAPER)
+
+
+@pytest.fixture(scope="module")
+def clustered_atoms():
+    """Packed atoms of 200 seed-1 clustered lines at the default sigma and
+    spacing."""
+    fibers = make_dataset(SimConfig(process=ProcessKind.CLUSTERED_LINES, n_fibers=200, seed=1))
+    spacing = PAPER.sigma / 20
+    return _center_and_pack(fibers, CenterFunctionKind.MASS_CENTER, spacing)[1:]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_squared_distance_is_negative_only_beyond_p_2(clustered_atoms, p):
+    # exp(-|x|^p) is positive definite only for p <= 2 (Schoenberg 1938), so
+    # at p = inf ||a||^2 + ||b||^2 - 2 |<a, b>| falls below zero by far more
+    # than rounding, and the distance clamps such a pair to 0
+    pos, tan, offsets = clustered_atoms
+    ia, ib = np.triu_indices(len(offsets) - 1, k=1)
+    norms_sq = backends.self_norms_sq(pos, tan, offsets, p, PAPER.sigma)
+    ab = backends.pair_inner_products(pos, tan, offsets, ia, ib, p, PAPER.sigma)
+    total = norms_sq[ia] + norms_sq[ib]
+    ratio = (total - 2.0 * np.abs(ab)) / total
+    negative = ratio < -1e-9
+    if p <= 2:
+        assert not negative.any() and ratio.min() > 0
+    else:
+        assert negative.sum() > 700 and ratio.min() < -0.005
+        assert (_shape_distance(norms_sq[ia], norms_sq[ib], ab, True)[negative] == 0).all()

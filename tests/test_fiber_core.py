@@ -16,9 +16,7 @@ from fiberk import (
     fiber_core,
     make_dataset,
     resample,
-    reverse,
     segment,
-    translate,
 )
 
 from conftest import random_polyline
@@ -218,7 +216,7 @@ class TestCenter:
         v = np.array([3.0, -7.0, 11.0])
         for kind in (MASS, MID):
             c0 = center(f, kind).original_center
-            c1 = center(translate(f, v), kind).original_center
+            c1 = center(Fiber(f.id, f.points + v), kind).original_center
             assert np.allclose(c1 - c0, v, atol=1e-9)
 
     def test_centering_idempotent(self, rng):
@@ -230,33 +228,10 @@ class TestCenter:
 
 
 class TestTranslate:
-    def test_zero_vector_identity(self):
-        f = straight()
-        assert translate(f, [0, 0, 0]) == f
-
-    def test_componentwise(self):
-        f = Fiber("f", [[0, 0, 0], [1, 0, 0]])
-        g = translate(f, [0, 0, 5])
-        assert np.allclose(g.points, [[0, 0, 5], [1, 0, 5]])
-
     def test_preserves_arclength(self, rng):
         f = random_polyline(rng)
-        g = translate(f, rng.standard_normal(3) * 100)
+        g = Fiber(f.id, f.points + rng.standard_normal(3) * 100)
         assert arclength(g) == pytest.approx(arclength(f), rel=1e-12)
-
-
-class TestReverse:
-    def test_reverses_order(self):
-        f = Fiber("f", [[0, 0, 0], [1, 0, 0], [1, 1, 0]])
-        assert np.array_equal(reverse(f).points, f.points[::-1])
-
-    def test_palindromic_fixed_point(self):
-        f = Fiber("f", [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-        assert np.array_equal(reverse(f).points, f.points)
-
-    def test_involution(self, rng):
-        f = random_polyline(rng)
-        assert reverse(reverse(f)) == f
 
 
 class TestSegment:
@@ -349,15 +324,9 @@ def test_property_translation_covariance(fiber, vseed):
     v = np.random.default_rng(vseed).uniform(-50, 50, 3)
     for kind in (MASS, MID):
         c0 = center(fiber, kind).original_center
-        c1 = center(translate(fiber, v), kind).original_center
+        c1 = center(Fiber(fiber.id, fiber.points + v), kind).original_center
         scale = max(1.0, float(np.abs(c0).max()))
         assert np.allclose(c1, c0 + v, atol=1e-9 * scale)
-
-
-@given(polylines())
-@settings(max_examples=50, deadline=None)
-def test_property_reverse_involution(fiber):
-    assert reverse(reverse(fiber)) == fiber
 
 
 @given(polylines(), st.floats(min_value=0.1, max_value=100.0))

@@ -2,13 +2,18 @@ import csv
 import os
 import re
 import stat
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fiberk
 from fiberk import (
     CenterFunctionKind,
     Fiber,
@@ -25,11 +30,11 @@ from fiberk import (
     kfunction,
     make_dataset,
     read_fibers,
-    read_kcsv,
     write_fibers,
 )
 from fiberk.cli import main
 
+from conftest import read_k_table
 from reference_impls import distance_per_call, min_distance_per_call, read_fibers_by_line
 
 
@@ -188,6 +193,7 @@ _CORPUS = {
     "comment after the coordinates": _VALID.replace("1 0 0", "1 0 0 # x"),
     "blank line inside a block": _VALID.replace("1 0 0\n", "1 0 0\n\n").replace("a 3", "a 4"),
     "whitespace-only line inside a block": _VALID.replace("1 0 0\n", " \t \n"),
+    "every coordinate line blank": "fiberset v1 1\nfiber a 2\n\n \n",
     # two faults each: the one that comes first in the file is reported
     "bad token, then a bad record": _VALID.replace("1 0 0", "1 x 0").replace("fiber b", "fibre b"),
     "repeated point, then trailing content": _VALID.replace("1 0 0\n1 1 0", "1 0 0\n1 0 0")
@@ -311,49 +317,6 @@ def test_property_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
     assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
 
 
-class TestKcsvFile:
-    def test_missing_header(self, tmp_path):
-        p = tmp_path / "k.csv"
-        p.write_text("1,2,0.5\n")
-        with pytest.raises(ValueError, match=r"k\.csv: missing 't,s,k' header"):
-            read_kcsv(p)
-
-    def test_row_count_must_fill_the_grid(self, tmp_path):
-        p = tmp_path / "k.csv"
-        # three rows of a 2 x 2 grid
-        p.write_text("t,s,k\n1,10,0.1\n2,10,0.2\n1,20,0.3\n")
-        with pytest.raises(ValueError, match=r"k\.csv: row count does not match grid"):
-            read_kcsv(p)
-
-    def test_short_row_cites_line(self, tmp_path):
-        p = tmp_path / "k.csv"
-        p.write_text("t,s,k\n1,2,0.5\n1,3\n")
-        with pytest.raises(ValueError, match=r"k\.csv:3: expected 't,s,k' values"):
-            read_kcsv(p)
-
-    def test_unparseable_value_cites_line(self, tmp_path):
-        p = tmp_path / "k.csv"
-        p.write_text("t,s,k\n1,2,x\n")
-        with pytest.raises(ValueError, match=r"k\.csv:2: unparseable value"):
-            read_kcsv(p)
-
-    def test_rows_are_placed_by_their_values(self, tmp_path):
-        p = tmp_path / "k.csv"
-        # s-major order: the rows of t = 1 and t = 2 alternate
-        p.write_text("t,s,k\n1,10,0.1\n2,10,0.2\n1,20,0.3\n2,20,0.4\n")
-        t_grid, s_grid, k = read_kcsv(p)
-        assert t_grid.tolist() == [1.0, 2.0]
-        assert s_grid.tolist() == [10.0, 20.0]
-        assert k.tolist() == [[0.1, 0.3], [0.2, 0.4]]
-
-    def test_repeated_cell_cites_line(self, tmp_path):
-        p = tmp_path / "k.csv"
-        # four rows for a 2 x 2 grid, but (1, 10) twice and (1, 20) never
-        p.write_text("t,s,k\n1,10,0.1\n2,10,0.2\n1,10,0.3\n2,20,0.4\n1,30,0.5\n2,30,0.6\n")
-        with pytest.raises(ValueError, match=r"k\.csv:4: repeated \(t, s\) cell"):
-            read_kcsv(p)
-
-
 class TestCliSimulate:
     def test_writes_file(self, tmp_path):
         out = tmp_path / "x1.fib"
@@ -414,7 +377,7 @@ class TestCliKfun:
         captured = capsys.readouterr()
         assert captured.out.startswith("N=")
         assert "nu_hat=" in captured.out
-        t_grid, s_grid, k = read_kcsv(out)
+        t_grid, s_grid, k = read_k_table(out)
         assert np.array_equal(t_grid, [10.0, 20.0])
         assert np.array_equal(s_grid, [50.0, 200.0])
         assert np.all(k >= 0)
@@ -568,7 +531,7 @@ class TestCliKfun:
         assert code == 0
         n = int(capsys.readouterr().out.split()[0].split("=")[1])
         assert n == 12
-        _, _, k = read_kcsv(out)
+        _, _, k = read_k_table(out)
         # saturated: every ordered pair among the 12 pieces
         assert k[0, 0] == pytest.approx(11.0)
 
@@ -877,6 +840,25 @@ def test_malformed_box_or_grid_exit_2(dataset_file, tmp_path, capsys, argv, mess
     assert not out.exists()
 
 
+def test_a_file_of_blank_coordinate_lines_gives_one_error_line(tmp_path, capsys, monkeypatch):
+    # np.loadtxt warns "input contained no data" when every line it gets is
+    # blank; no such warning may reach stderr before the one-line error
+    src, out = tmp_path / "blank.fib", tmp_path / "d.csv"
+    src.write_text("fiberset v1 1\nfiber a 2\n\n\n")
+    argv = ["dist", "--in", str(src), "--out", str(out)]
+    want = f"fiberk dist: {src}:3: expected 3 coordinates, got ''\n"
+    monkeypatch.setenv("PYTHONPATH", str(Path(fiberk.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fiberk.cli", *argv], capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
 def test_dist_and_kfun_reject_a_spacing_alike_before_reading(tmp_path, capsys):
     missing, out = str(tmp_path / "missing.fib"), str(tmp_path / "out")
     flags = ["--in", missing, "--spacing", "-1", "--out", out]
@@ -1132,7 +1114,7 @@ class TestCliDist:
         for line in dout.read_text().splitlines()[1:]:
             ia, ib, cd, sd = line.split(",")
             rows.append((ia, ib, float(cd), float(sd)))
-        t_grid, s_grid, k = read_kcsv(kout)
+        t_grid, s_grid, k = read_k_table(kout)
         n_in = sum(1 for c in centers.values() if in_w(c))
         for i, t in enumerate(t_grid):
             for j, s in enumerate(s_grid):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,19 +17,16 @@ from fiberk import (
     Window,
     center,
     csr_reference,
-    discretize,
-    inner_product,
     inset_window,
     k_function,
     make_dataset,
     pair_distances,
     read_fibers,
     segment,
-    translate,
     write_fibers,
 )
 from fiberk import backends, fiber_core, kfunction
-from fiberk.kfunction import _candidate_pairs, saturation_bound
+from fiberk.kfunction import _candidate_pairs
 
 from conftest import all_pairs_reference, rebinned_k
 
@@ -109,10 +107,11 @@ class TestAtomLimits:
             kfunction, "center", lambda f, kind: centered.append(f.id) or real(f, kind)
         )
         monkeypatch.setattr(kfunction, "MAX_TOTAL_ATOMS", 3 * 12)
-        saturation_bound(self.fibers(3), small_config())
+        spacing = small_config().resolved_spacing
+        kfunction._center_and_pack(self.fibers(3), MASS, spacing)
         centered.clear()
         with pytest.raises(ValueError, match="fiber 3: .* atom total to 48, more than 36 in"):
-            saturation_bound(self.fibers(5), small_config())
+            kfunction._center_and_pack(self.fibers(5), MASS, spacing)
         assert centered == ["0", "1", "2", "3"]
 
 
@@ -281,7 +280,8 @@ class TestTranslationInvariance:
         window = inset_window(fibers, MASS, 0.13)
         want = self.k(fibers, p, window)
         assert want[-1, -1] > 0
-        got = self.k([translate(f, v) for f in fibers], p, window.translate(v))
+        moved = [Fiber(f.id, f.points + v) for f in fibers]
+        got = self.k(moved, p, Window(window.lower + v, window.upper + v))
         assert np.array_equal(got, want)
 
 
@@ -301,7 +301,6 @@ class TestKFunctionProperties:
         res = k_function(fibers, cfg, w)
         # every ordered pair with first center in the window qualifies
         assert res.k[0, 0] * res.n_in_window == res.n_in_window * (len(fibers) - 1)
-        assert float(cfg.s_grid[0]) >= saturation_bound(fibers, cfg)
 
     def test_translation_invariance(self):
         fibers = _dataset(n=40)
@@ -309,7 +308,8 @@ class TestKFunctionProperties:
         w = Window(np.full(3, 13.0), np.full(3, 87.0))
         v = np.array([11.0, -7.0, 3.0])
         k0 = k_function(fibers, cfg, w).k
-        k1 = k_function([translate(f, v) for f in fibers], cfg, w.translate(v)).k
+        moved = [Fiber(f.id, f.points + v) for f in fibers]
+        k1 = k_function(moved, cfg, Window(w.lower + v, w.upper + v)).k
         assert np.allclose(k0, k1, atol=1e-9)
 
     def test_normalization_exact_counts(self):
@@ -335,17 +335,6 @@ class TestKFunctionProperties:
         monkeypatch.setattr(kfunction, "_candidate_pairs", all_pairs_reference)
         k_a = k_function(fibers, cfg, w).k
         assert np.array_equal(k_b, k_a)
-
-    def test_saturation_bound_needs_a_fiber(self):
-        with pytest.raises(ValueError, match="needs at least one fiber"):
-            saturation_bound([], small_config())
-
-    def test_saturation_bound_of_one_fiber_pairs_it_with_itself(self):
-        f = line_at(50, 50, 50, "a")
-        cfg = small_config()
-        cur = discretize(center(f, MASS).fiber, cfg.resolved_spacing)
-        norm_sq = inner_product(cur, cur, cfg.kernel)
-        assert saturation_bound([f], cfg) == pytest.approx(2.0 * math.sqrt(norm_sq), rel=1e-6)
 
 
 def _assert_same_pairs(got, want):
@@ -536,3 +525,11 @@ class TestInsetWindow:
         fibers = [line_at(10, 10, 50, "a"), line_at(20, 30, 50, "b"), line_at(40, 20, 50, "c")]
         with pytest.raises(ValueError, match="degenerate center bounding box"):
             inset_window(fibers, MASS, 0.13)
+
+
+def test_the_readme_quick_start_runs():
+    # a deletion that breaks the documented library API fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Library quick start", 1)[1]
+    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
