@@ -234,6 +234,24 @@ class TestTranslate:
         assert arclength(g) == pytest.approx(arclength(f), rel=1e-12)
 
 
+class TestListingDirection:
+    """A fiber is an unoriented curve: listing its points backwards changes
+    neither its length nor its center."""
+
+    def test_arclength(self, rng):
+        f = random_polyline(rng)
+        assert arclength(Fiber(f.id, f.points[::-1])) == pytest.approx(arclength(f), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [MASS, MID], ids=["mass", "midpoint"])
+    def test_center(self, rng, kind):
+        for _ in range(20):
+            f = random_polyline(rng)
+            c0 = center(f, kind).original_center
+            c1 = center(Fiber(f.id, f.points[::-1]), kind).original_center
+            diam = np.linalg.norm(f.points.max(0) - f.points.min(0))
+            assert np.allclose(c1, c0, rtol=0, atol=1e-12 * diam)
+
+
 class TestSegment:
     def test_paper_split_100_into_40(self):
         f = straight(100.0)

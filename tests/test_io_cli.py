@@ -133,6 +133,23 @@ class TestFiberFile:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("nt, ns", [(1, 1), (2, 3), (3, 2)])
+def test_write_kcsv_lists_every_cell_once_in_t_major_order(tmp_path, nt, ns):
+    # values with 17 significant digits, a subnormal and a zero come back bit for bit
+    t_grid = np.cumsum(np.full(nt, 1.0 / 3.0))
+    s_grid = 10.0 + np.cumsum(np.full(ns, 0.1))
+    k = np.arange(nt * ns, dtype=np.float64).reshape(nt, ns) / 7.0
+    k.flat[-1] = 5e-324
+    window = kfunction.Window(np.zeros(3), np.ones(3))
+    result = kfunction.KResult(t_grid, s_grid, k, 3, 3.0, window)
+    out = tmp_path / "k.csv"
+    fileio.write_kcsv(result, out)
+    assert len(out.read_text().splitlines()) == 1 + nt * ns
+    got_t, got_s, got_k = read_k_table(out)
+    assert np.array_equal(got_t, t_grid) and np.array_equal(got_s, s_grid)
+    assert np.array_equal(got_k, k)
+
+
 def parse_outcome(read, path):
     """What a parser makes of ``path``: the fibers (ids, shapes and exact
     bytes) or the FiberFileError message."""

@@ -285,6 +285,36 @@ class TestTranslationInvariance:
         assert np.array_equal(got, want)
 
 
+class TestListingDirection:
+    """Listing a fiber's points backwards negates its current. The
+    orientation-invariant shape distance ignores that for any set of fibers;
+    the oriented one only when every fiber is reversed. Either way the pair
+    records and K stay the same."""
+
+    @pytest.mark.parametrize("oriented", [False, True], ids=["unoriented", "oriented"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
+    def test_reversing_fibers_keeps_the_pairs_and_k(self, p, oriented):
+        fibers = _dataset()
+        step = 1 if oriented else 2
+        reversed_fibers = [
+            Fiber(f.id, f.points[::-1]) if i % step == 0 else f for i, f in enumerate(fibers)
+        ]
+        cfg = KConfig(
+            kernel=KernelParams(p=p, sigma=100.0 / 3.0),
+            t_grid=np.arange(5.0, 51.0, 5.0),
+            s_grid=np.arange(1.0, 10.5, 0.5),
+            orientation_invariant=not oriented,
+        )
+        window = inset_window(fibers, MASS, 0.13)
+        want = pair_distances(fibers, cfg, window)
+        got = pair_distances(reversed_fibers, cfg, window)
+        assert [r[2] for r in got] == [r[2] for r in want]
+        assert np.allclose([r[:2] for r in got], [r[:2] for r in want], rtol=1e-12, atol=0)
+        k = k_function(fibers, cfg, window).k
+        assert 0 < k[-1, 0] < k[-1, -1]
+        assert np.array_equal(k_function(reversed_fibers, cfg, window).k, k)
+
+
 class TestKFunctionProperties:
     def test_grid_monotonicity(self):
         fibers = _dataset()
