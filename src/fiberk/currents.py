@@ -75,17 +75,36 @@ class DiscreteCurrent:
             raise ValueError("positions and tangents must be matching (n, 3) arrays")
         if pos.shape[0] < 1:
             raise ValueError("a discrete current needs at least 1 atom")
-        if not (np.isfinite(pos).all() and np.isfinite(tan).all()):
-            raise ValueError("atom coordinates must be finite")
-        if not np.einsum("ij,ij->i", tan, tan).all():
-            raise ValueError("weighted tangents must be nonzero")
+        _check_atoms(pos, tan)
         pos.setflags(write=False)
         tan.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "tangents", tan)
 
+    @classmethod
+    def _of_valid(cls, pos: np.ndarray, tan: np.ndarray) -> DiscreteCurrent:
+        """A current on the matching C-contiguous float64 ``(n, 3)`` arrays
+        ``pos`` and ``tan``, ``n >= 1``, which ``_check_atoms`` has passed;
+        made read-only."""
+        current = object.__new__(cls)
+        for name, values in (("positions", pos), ("tangents", tan)):
+            values.setflags(write=False)
+            object.__setattr__(current, name, values)
+        object.__setattr__(current, "_canonical", None)
+        object.__setattr__(current, "_self_sums", None)
+        return current
+
     def __len__(self):
         return self.positions.shape[0]
+
+
+def _check_atoms(pos: np.ndarray, tan: np.ndarray) -> None:
+    """Raises ValueError unless every atom coordinate is finite and every
+    weighted tangent nonzero."""
+    if not (np.isfinite(pos).all() and np.isfinite(tan).all()):
+        raise ValueError("atom coordinates must be finite")
+    if not np.einsum("ij,ij->i", tan, tan).all():
+        raise ValueError("weighted tangents must be nonzero")
 
 
 def discretize(fiber: Fiber, spacing: float) -> DiscreteCurrent:
@@ -94,7 +113,9 @@ def discretize(fiber: Fiber, spacing: float) -> DiscreteCurrent:
     vector. More atoms than one pair block may square
     (``backends.MAX_PAIR_EVALS``) raise ValueError before any is made."""
     pts = _resampled_points(fiber, spacing, math.isqrt(backends.MAX_PAIR_EVALS), "atoms")
-    return DiscreteCurrent(0.5 * (pts[:-1] + pts[1:]), pts[1:] - pts[:-1])
+    pos, tan = 0.5 * (pts[:-1] + pts[1:]), pts[1:] - pts[:-1]
+    _check_atoms(pos, tan)
+    return DiscreteCurrent._of_valid(pos, tan)
 
 
 def _signed_canonical(current: DiscreteCurrent):

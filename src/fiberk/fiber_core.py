@@ -25,9 +25,10 @@ __all__ = [
 
 
 # Most steps of one resample, pieces of one segment, and pieces of all fibers
-# under kfun --segment-length. A piece costs about 0.8 kB of peak memory and
-# 0.1 ms through kfun (3 fibers cut into 10,000 to 100,000 pieces, numpy 2.4
-# on x86-64), so an admitted run stays under about 1 GiB.
+# under kfun --segment-length. A piece costs about 1.1 kB of peak memory and
+# 0.07 ms through kfun (3 fibers cut into 10,000 to 100,000 pieces, with a t
+# grid too small for any pair, numpy 2.4 on x86-64), so an admitted run stays
+# near 1 GiB.
 MAX_PIECES = 10**6
 # Largest coordinate magnitude a fiber, a center or a window corner may have,
 # and largest extent of a fiber's points along each axis. Segment lengths are
@@ -35,6 +36,12 @@ MAX_PIECES = 10**6
 # 1e154 on. A center lies within the bounding box of the points, so the extent
 # bound keeps a centered copy within the coordinate bound too.
 MAX_COORDINATE = 1e100
+# Most points ``_validated_points`` checks and ``_centers`` stacks at once
+# (96 KiB of coordinates), so their temporaries do not grow with the number of
+# fibers. Checking a 50,000-point file at once raised kfun's peak RSS by
+# 1.9 MiB, and centering in chunks of 2**14 points by 0.5 MiB on 5,000 pieces;
+# chunks of 2**12 points raised neither.
+_CHUNK_POINTS = 2**12
 
 
 class CenterFunctionKind(Enum):
@@ -55,18 +62,47 @@ def _largest_coordinate(values, what: str) -> float:
     return largest
 
 
-def _validated_points(points) -> np.ndarray:
+def _validated_points(points, starts=None) -> np.ndarray:
+    """``points`` as a C-contiguous float64 array, checked as the fibers
+    ``pts[starts[k]:starts[k + 1]]`` (``starts`` ascending from 0 to
+    ``len(points)``; one fiber when it is None). Each fiber must have at
+    least 2 points, finite coordinates within +-``MAX_COORDINATE``, an extent
+    of at most ``MAX_COORDINATE`` along each axis and distinct consecutive
+    points. A batch of more than ``_CHUNK_POINTS`` points is checked a run
+    of whole fibers at a time. Raises ValueError with the rule's message
+    when any fiber breaks one, without naming it: a caller that must name
+    the fiber checks its fibers one at a time once the batch has failed."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("fiber points must be an (n, 3) array")
-    if pts.shape[0] < 2:
+    if starts is None:
+        short = len(pts) < 2
+    else:
+        starts = np.asarray(starts)
+        if len(starts) < 2:  # no fiber
+            return pts
+        if len(starts) > 2 and len(pts) > _CHUNK_POINTS:
+            lo = 0  # each run has at most _CHUNK_POINTS points, or one fiber
+            while lo < len(starts) - 1:
+                hi = max(lo + 1, np.searchsorted(starts, starts[lo] + _CHUNK_POINTS, "right") - 1)
+                _validated_points(pts[starts[lo] : starts[hi]], starts[lo : hi + 1] - starts[lo])
+                lo = hi
+            return pts
+        short = np.diff(starts).min() < 2
+    if short:
         raise ValueError("a fiber needs at least 2 points")
     largest = _largest_coordinate(pts, "fiber coordinates")
     # only points beyond half the bound can span more than it
-    if largest > 0.5 * MAX_COORDINATE and np.ptp(pts, axis=0).max() > MAX_COORDINATE:
-        raise ValueError(f"fiber points must span at most {MAX_COORDINATE:g} along each axis")
+    if largest > 0.5 * MAX_COORDINATE:
+        first = [0] if starts is None else starts[:-1]
+        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
+        if extent.max() > MAX_COORDINATE:
+            raise ValueError(f"fiber points must span at most {MAX_COORDINATE:g} along each axis")
     seg = pts[1:] - pts[:-1]
-    if not np.einsum("ij,ij->i", seg, seg).all():
+    distinct = np.einsum("ij,ij->i", seg, seg)
+    if starts is not None:
+        distinct[starts[1:-1] - 1] = 1.0  # from one fiber's last point to the next's first
+    if not distinct.all():
         raise ValueError("consecutive fiber points must be distinct")
     return pts
 
@@ -87,6 +123,17 @@ class Fiber:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "id", str(self.id))
+
+    @classmethod
+    def _of_valid(cls, fid: str, pts: np.ndarray) -> Fiber:
+        """A fiber of id ``fid`` on ``pts``, which ``_validated_points`` has
+        passed (as one fiber or as a block of a batch); made read-only."""
+        fiber = object.__new__(cls)
+        pts.setflags(write=False)
+        object.__setattr__(fiber, "id", fid)
+        object.__setattr__(fiber, "points", pts)
+        object.__setattr__(fiber, "_center", None)
+        return fiber
 
     def __eq__(self, other):
         if not isinstance(other, Fiber):
@@ -253,6 +300,43 @@ def _center_of(fiber: Fiber, kind: CenterFunctionKind) -> np.ndarray:
     return fiber._center[1]
 
 
+def _mass_centers(pts: np.ndarray) -> np.ndarray:
+    """``_center_point(pts[k], MASS_CENTER)`` for each polyline of the
+    ``(g, n, 3)`` stack ``pts``, bit for bit: the same sums over the same axes
+    of each polyline, so numpy adds the same terms in the same order."""
+    d = pts[:, 1:] - pts[:, :-1]
+    lens = np.sqrt(np.add.reduce(d * d, axis=2))
+    mids = 0.5 * (pts[:, :-1] + pts[:, 1:])
+    return (mids * lens[:, :, None]).sum(axis=1) / lens.sum(axis=1)[:, None]
+
+
+def _centers(fibers, kind: CenterFunctionKind) -> np.ndarray:
+    """``_center_of`` each fiber under ``kind``, as an ``(n, 3)`` array, with
+    every fiber's slot filled as ``_center_of`` fills it. Mass centers not yet
+    kept are computed together for fibers of equal point count, in chunks of
+    at most ``_CHUNK_POINTS`` points or one fiber; midpoints one fiber at a
+    time."""
+    out = np.empty((len(fibers), 3))
+    mass = kind is CenterFunctionKind.MASS_CENTER
+    by_size = {}
+    for i, f in enumerate(fibers):
+        if mass and (f._center is None or f._center[0] is not kind):
+            by_size.setdefault(len(f.points), []).append(i)
+        else:
+            out[i] = _center_of(f, kind)
+    for n, members in by_size.items():
+        step = max(1, _CHUNK_POINTS // n)
+        for lo in range(0, len(members), step):
+            chunk = members[lo : lo + step]
+            stack = np.concatenate([fibers[i].points for i in chunk]).reshape(len(chunk), n, 3)
+            got = _mass_centers(stack)
+            got.setflags(write=False)
+            out[chunk] = got
+            for i, c_i in zip(chunk, got):
+                object.__setattr__(fibers[i], "_center", (kind, c_i))
+    return out
+
+
 def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     """Center the fiber with the chosen center function.
 
@@ -261,7 +345,8 @@ def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     is the point at half the total arclength.
     """
     c = _center_of(fiber, kind)
-    return CenteredFiber(original_center=c, fiber=Fiber(fiber.id, fiber.points - c))
+    centered = Fiber._of_valid(fiber.id, _validated_points(fiber.points - c))
+    return CenteredFiber(original_center=c, fiber=centered)
 
 
 def segment(fiber: Fiber, max_length: float) -> list[Fiber]:
@@ -275,7 +360,7 @@ def segment(fiber: Fiber, max_length: float) -> list[Fiber]:
     cum, n = _counted(fiber, max_length, "max_length", MAX_PIECES, "pieces")
     total = cum[-1]
     if n == 1:
-        return [Fiber(f"{fiber.id}.0", pts)]
+        return [Fiber._of_valid(f"{fiber.id}.0", pts)]
     eps = 1e-9 * total
     cuts = np.append(np.arange(n) * max_length, total)
     ends = _points_at(pts, cum, cuts)
@@ -283,7 +368,17 @@ def segment(fiber: Fiber, max_length: float) -> list[Fiber]:
     # are one contiguous range
     first = np.searchsorted(cum, cuts[:-1] + eps, side="right")
     stop = np.searchsorted(cum, cuts[1:] - eps, side="left")
+    # all pieces in one array, piece k in rows starts[k]:starts[k + 1]
+    parts, starts = [], [0]
+    for k, (a, b) in enumerate(zip(first.tolist(), stop.tolist())):
+        parts += (ends[k : k + 1], pts[a:b], ends[k + 1 : k + 2])
+        starts.append(starts[-1] + 2 + max(b - a, 0))
+    gathered = np.concatenate(parts)
+    try:
+        _validated_points(gathered, starts)
+        make = Fiber._of_valid
+    except ValueError:
+        make = Fiber  # one piece at a time, so the first bad piece is refused
     return [
-        Fiber(f"{fiber.id}.{k}", np.concatenate((ends[k : k + 1], pts[a:b], ends[k + 1 : k + 2])))
-        for k, (a, b) in enumerate(zip(first.tolist(), stop.tolist()))
+        make(f"{fiber.id}.{k}", gathered[a:b]) for k, (a, b) in enumerate(zip(starts, starts[1:]))
     ]

@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from .fiber_core import Fiber
+from .fiber_core import Fiber, _validated_points
 
 __all__ = ["FiberFileError", "read_fibers", "write_fibers", "write_kcsv"]
 
@@ -120,8 +120,10 @@ def read_fibers(path) -> list[Fiber]:
     Only when that call does not give three finite values a line are the
     blocks read one line at a time, with the same messages and the same
     accepted syntax (each coordinate as Python ``float`` reads it, so ``1_0``
-    is 10). Errors are raised in line order: a bad coordinate line or an
-    invalid fiber comes before a bad record that follows it.
+    is 10). The points of that one call are checked as one batch; only when
+    it fails are the fibers checked one at a time, to name the first invalid
+    one. Errors are raised in line order: a bad coordinate line or an invalid
+    fiber comes before a bad record that follows it.
     """
     with open(path, "r", newline=None) as fh:
         lines = fh.read().splitlines()
@@ -155,13 +157,21 @@ def read_fibers(path) -> list[Fiber]:
         pts = None
     if pts is not None and (pts.shape != (len(rows), 3) or not np.isfinite(pts).all()):
         pts = None
+    del rows  # freed before the batch check, so the two do not add up in peak memory
+    make = Fiber
+    if pts is not None:
+        try:
+            _validated_points(pts, np.cumsum([0] + [n for _, _, n in records]))
+            make = Fiber._of_valid
+        except ValueError:
+            pass  # one fiber at a time, so the first invalid one is named
     fibers: list[Fiber] = []
     start = 0
     for fid, at, n in records:
         block = _parse_block(path, lines, at, n) if pts is None else pts[start : start + n]
         start += n
         try:
-            fibers.append(Fiber(fid, block))
+            fibers.append(make(fid, block))
         except ValueError as exc:
             raise FiberFileError(f"{path}:{at + n}: invalid fiber {fid!r}: {exc}") from None
     if record_error is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import backends
 from .currents import KernelParams, _shape_distance, discretize
-from .fiber_core import CenterFunctionKind, Fiber, Window, _center_of, center
+from .fiber_core import CenterFunctionKind, Fiber, Window, _centers, center
 
 __all__ = [
     "EmptyWindowError",
@@ -117,12 +117,14 @@ def csr_reference(t: float) -> float:
 
 def _centered_currents(fibers, kind, spacing):
     """Yield ``(center, current)`` per fiber: its center point and the current
-    of its centered copy. Each fiber is centered once and its centered copy is
+    of its centered copy. The center points are computed first, together
+    (``_centers``); then each fiber is centered once and its centered copy is
     discretized at once, so no centered fiber outlives its atoms.
 
     Raises ValueError naming a fiber whose centered copy is no fiber (its
     points collapse), and before the next fiber is centered once the atoms so
     far exceed ``MAX_TOTAL_ATOMS`` (``discretize`` bounds each current's)."""
+    _centers(fibers, kind)
     total = 0
     for f in fibers:
         try:
@@ -355,7 +357,7 @@ def inset_window(
         raise ValueError("inset fraction must be in [0, 0.5)")
     if not fibers:
         raise ValueError("cannot compute a window from an empty fiber list")
-    centers = np.array([_center_of(f, kind) for f in fibers])
+    centers = _centers(fibers, kind)
     lo = centers.min(axis=0)
     hi = centers.max(axis=0)
     ext = hi - lo

@@ -73,6 +73,23 @@ class TestFiberValidation:
         pts[2] = 1.0
         with pytest.raises(ValueError, match="fiber points must span at most 1e\\+100"):
             Fiber("x", pts)
+        # as the second fiber of a batch too; two fibers that each span half
+        # the bound pass together, though the batch spans more than it
+        with pytest.raises(ValueError, match="fiber points must span at most 1e\\+100"):
+            fiber_core._validated_points(np.vstack([np.eye(3), pts]), [0, 3, 6])
+        apart = np.vstack([pts[:1], np.zeros(3), np.zeros(3), pts[1:2]])
+        fiber_core._validated_points(apart, [0, 2, 4])
+
+    @pytest.mark.parametrize("chunk", [fiber_core._CHUNK_POINTS, 3, 1])
+    def test_a_batch_allows_a_repeat_only_across_a_fiber_boundary(self, monkeypatch, chunk):
+        monkeypatch.setattr(fiber_core, "_CHUNK_POINTS", chunk)  # runs of whole fibers
+        pts = np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
+        assert fiber_core._validated_points(pts, [0, 2, 5]) is pts
+        for starts in ([0, 5], [0, 3, 5]):  # the repeat inside one fiber
+            with pytest.raises(ValueError, match="consecutive fiber points must be distinct"):
+                fiber_core._validated_points(pts, starts)
+        with pytest.raises(ValueError, match="a fiber needs at least 2 points"):
+            fiber_core._validated_points(pts, [0, 2, 3, 5])
 
     def test_a_fiber_spanning_the_bound_centers_within_it(self):
         b = fiber_core.MAX_COORDINATE
@@ -225,6 +242,54 @@ class TestCenter:
             cf = center(f, kind).fiber
             diam = np.linalg.norm(f.points.max(0) - f.points.min(0))
             assert np.linalg.norm(center(cf, kind).original_center) <= 1e-9 * diam
+
+
+class TestCenters:
+    """``_centers`` computes mass centers per size group, and must give the
+    bits ``_center_point`` gives one fiber at a time."""
+
+    @pytest.mark.parametrize("kind", [MASS, MID], ids=["mass", "midpoint"])
+    def test_chunks_and_kept_centers(self, rng, monkeypatch, kind):
+        monkeypatch.setattr(fiber_core, "_CHUNK_POINTS", 40)  # 2 to 4 fibers a chunk
+        fibers = [random_polyline(rng, n_pts=n) for n in [12, 20, 12, 12, 2, 20, 12, 12, 13]]
+        kept = [fiber_core._center_of(f, kind) for f in fibers[::3]]
+        got = fiber_core._centers(fibers, kind)
+        for f, c in zip(fibers, got):
+            assert c.tobytes() == fiber_core._center_point(f.points, kind).tobytes()
+            assert f._center[0] is kind and f._center[1].tobytes() == c.tobytes()
+            assert not f._center[1].flags.writeable
+        assert all(f._center[1] is c for f, c in zip(fibers[::3], kept))
+
+    def test_no_fibers(self):
+        assert fiber_core._centers([], MASS).shape == (0, 3)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from([0.0, 1e6, -1e6]),
+    st.sampled_from([None, MASS, MID]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_centers_are_center_point_bit_for_bit(sizes, shift, kept, seed):
+    # 2 to 300 points covers numpy's 8-wide unrolled and 128-block pairwise sums
+    rng = np.random.default_rng(seed)
+    fibers = [
+        Fiber("f", random_polyline(rng, n_pts=n).points + shift) for n, k in sizes for _ in range(k)
+    ]
+    for kind in (MASS, MID):
+        if kept is not None:  # every other fiber has a center already
+            for f in fibers[::2]:
+                fiber_core._center_of(f, kept)
+        got = fiber_core._centers(fibers, kind)
+        for f, c in zip(fibers, got):
+            want = fiber_core._center_point(f.points, kind)
+            assert c.tobytes() == want.tobytes()
+            assert f._center[1].tobytes() == want.tobytes()
 
 
 class TestTranslate:

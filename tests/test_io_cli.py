@@ -189,6 +189,8 @@ _CORPUS = {
     "zero points": "fiberset v1 1\nfiber a 0\n",
     "one point": "fiberset v1 1\nfiber a 1\n0 0 0\n",
     "repeated point": _VALID.replace("1 0 0\n1 1 0", "1 0 0\n1 0 0"),
+    "repeated point in the second fiber": _VALID.replace("6.5 5 5", "5 5 5"),
+    "a fiber starting where the one before ends": _VALID.replace("5 5 5", "1 1 0"),
     "underflow to a repeated point": _VALID.replace("0 0 0\n1 0 0", "0 0 0\n1e-400 0 0"),
     "trailing content": _VALID + "extra\n",
     "trailing blank line": _VALID + "\n",
@@ -289,6 +291,10 @@ def test_read_fibers_reports_the_first_bad_line(tmp_path):
         ("NaN in the second fiber", r":8: non-finite coordinate$"),
         ("bad token, then a bad record", r":4: unparseable coordinate in '1 x 0'$"),
         ("repeated point, then trailing content", r":5: invalid fiber 'a': "),
+        (
+            "repeated point in the second fiber",
+            r":8: invalid fiber 'b': consecutive fiber points must be distinct$",
+        ),
         ("valid fibers, then a record cut off at end of file", r":11: expected coordinate line"),
     ]:
         p.write_bytes(_CORPUS[name].encode())
@@ -781,15 +787,23 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
 
 
 @pytest.mark.parametrize("kind", [k.value for k in CenterFunctionKind])
-@pytest.mark.parametrize("command", ["kfun", "dist"])
-def test_a_refused_centered_fiber_is_named(tmp_path, capsys, command, kind):
+@pytest.mark.parametrize(
+    "command, flags, fid",
+    [
+        ("kfun", ["--inset", "0.13"], "b"),
+        ("dist", [], "b"),
+        # a piece of one fiber is built from points checked as a batch
+        ("kfun", ["--inset", "0.13", "--segment-length", "100"], "b.0"),
+    ],
+    ids=["kfun", "dist", "kfun-segmented"],
+)
+def test_a_refused_centered_fiber_is_named(tmp_path, capsys, command, flags, fid, kind):
     src = tmp_path / "near.fib"
     src.write_text(_NEAR_DUPLICATE)
     out = tmp_path / "out.csv"
-    argv = [command, "--in", str(src), "--center", kind, "--out", str(out)]
-    assert run(argv + ["--inset", "0.13"] * (command == "kfun")) == 2
+    assert run([command, "--in", str(src), "--center", kind, "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err == (
-        f"fiberk {command}: fiber b: consecutive fiber points must be distinct\n"
+        f"fiberk {command}: fiber {fid}: consecutive fiber points must be distinct\n"
     )
     assert not out.exists()
 
