@@ -169,13 +169,16 @@ def _cmd_dist(args) -> None:
     currents = [current for _, current in prepared]
     measure = distance if args.oriented else min_distance
     ids = [_csv_field(f.id) for f in fibers]
-    rows = ["id_a,id_b,center_dist,shape_dist"]
+    # one string of rows per first fiber, joined once: no string per row lives on
+    chunks = ["id_a,id_b,center_dist,shape_dist\n"]
     for i, current_i in enumerate(currents):
         center_dists = _center_distances(centers[i], centers[i + 1 :]).tolist()
+        rows = []
         for j, cd in enumerate(center_dists, start=i + 1):
             sd = measure(current_i, currents[j], params)
-            rows.append(f"{ids[i]},{ids[j]},{cd:.17g},{sd:.17g}")
-    _atomic_write(args.out, "\n".join(rows) + "\n")
+            rows.append(f"{ids[i]},{ids[j]},{cd:.17g},{sd:.17g}\n")
+        chunks.append("".join(rows))
+    _atomic_write(args.out, "".join(chunks))
 
 
 _COMMANDS = {"simulate": _cmd_simulate, "kfun": _cmd_kfun, "dist": _cmd_dist}

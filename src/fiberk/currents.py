@@ -75,7 +75,7 @@ class DiscreteCurrent:
             raise ValueError("positions and tangents must be matching (n, 3) arrays")
         if pos.shape[0] < 1:
             raise ValueError("a discrete current needs at least 1 atom")
-        _check_atoms(pos, tan)
+        _check_atoms(tan, pos, tan)
         pos.setflags(write=False)
         tan.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -98,11 +98,12 @@ class DiscreteCurrent:
         return self.positions.shape[0]
 
 
-def _check_atoms(pos: np.ndarray, tan: np.ndarray) -> None:
-    """Raises ValueError unless every atom coordinate is finite and every
-    weighted tangent nonzero."""
-    if not (np.isfinite(pos).all() and np.isfinite(tan).all()):
-        raise ValueError("atom coordinates must be finite")
+def _check_atoms(tan: np.ndarray, *coordinates: np.ndarray) -> None:
+    """Raises ValueError unless every value of each of ``coordinates`` is
+    finite and every weighted tangent of ``tan`` nonzero."""
+    for values in coordinates:
+        if not np.isfinite(values).all():
+            raise ValueError("atom coordinates must be finite")
     if not np.einsum("ij,ij->i", tan, tan).all():
         raise ValueError("weighted tangents must be nonzero")
 
@@ -114,7 +115,10 @@ def discretize(fiber: Fiber, spacing: float) -> DiscreteCurrent:
     (``backends.MAX_PAIR_EVALS``) raise ValueError before any is made."""
     pts = _resampled_points(fiber, spacing, math.isqrt(backends.MAX_PAIR_EVALS), "atoms")
     pos, tan = 0.5 * (pts[:-1] + pts[1:]), pts[1:] - pts[:-1]
-    _check_atoms(pos, tan)
+    # finiteness is tested once, on the points: finite points within
+    # +-MAX_COORDINATE give finite midpoints and chords, and a non-finite
+    # point makes the chords next to it non-finite
+    _check_atoms(tan, pts)
     return DiscreteCurrent._of_valid(pos, tan)
 
 

@@ -28,10 +28,10 @@ __all__ = [
 ]
 
 # Most points one dataset may have: fibers x points per fiber, plus one per
-# cluster center. Through `fiberk simulate`, which holds the whole output text
-# before writing it, each point costs about 290 B of peak memory and 5 us (400
+# cluster center. Through `fiberk simulate`, which writes its file a fiber at a
+# time, each point costs about 25 B of peak memory and 2 us (400 and 2,000
 # fibers of 1,000 points, numpy 2.4 on x86-64), so an admitted run stays under
-# about 1 GiB.
+# about 150 MiB.
 MAX_TOTAL_POINTS = 4 * 10**6
 # Longest fiber_length: it keeps a centered shape inside the coordinate bound and
 # the generators' squared lengths inside the float range. A placed fiber may leave

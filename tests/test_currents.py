@@ -94,6 +94,22 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(f, -1.0)
 
+    def test_refuses_chords_whose_squared_length_underflows(self):
+        # the fiber's squared length, 1e-322, is a nonzero subnormal; its
+        # 100 chords' squared lengths, 1e-326, round to 0
+        f = Fiber("f", [[0, 0, 0], [1e-161, 0, 0]])
+        with pytest.raises(ValueError, match="^weighted tangents must be nonzero$"):
+            discretize(f, 1e-163)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_resampled_point(self, monkeypatch, bad):
+        # a valid fiber resamples to finite points; the check stands guard
+        # over the resampling all the same, on the points the atoms come from
+        pts = np.array([[0.0, 0, 0], [1.0, bad, 0], [2.0, 0, 0]])
+        monkeypatch.setattr("fiberk.currents._resampled_points", lambda *args: pts.copy())
+        with pytest.raises(ValueError, match="^atom coordinates must be finite$"):
+            discretize(Fiber("f", [[0, 0, 0], [2, 0, 0]]), 1.0)
+
 
 class TestDiscreteCurrentChecks:
     @pytest.mark.parametrize(

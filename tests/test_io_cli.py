@@ -1,4 +1,5 @@
 import csv
+import errno
 import os
 import re
 import stat
@@ -338,6 +339,94 @@ def test_property_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
     p = tmp_path / "f.fib"
     p.write_bytes(text.encode())
     assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
+
+
+_LONG = "fiberset v1 600\n" + "".join(f"fiber f{i} 2\n{i} 0 0\n{i} 1 0\n" for i in range(600))
+
+# Each template holds one line break that str.splitlines splits at and a
+# split at LF does not, where "{}" stands.
+_OTHER_LINE_BREAK_FILES = {
+    "inside a record line": _VALID.replace("fiber b 2", "fiber b{} 2"),
+    "ending a record line": _VALID.replace("fiber b 2", "fiber b 2{}"),
+    "inside a coordinate line": _VALID.replace("1 0 0", "1 0{} 0"),
+    "ending a coordinate line": _VALID.replace("1 0 0", "1 0 0{}"),
+    "in the last coordinate line of a long file": _LONG.replace("599 1 0", "599 1{} 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "template", list(_OTHER_LINE_BREAK_FILES.values()), ids=list(_OTHER_LINE_BREAK_FILES)
+)
+@pytest.mark.parametrize(
+    "ch",
+    ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=lambda ch: f"U+{ord(ch):04X}",
+)
+def test_other_line_breaks_read_as_the_line_by_line_parser_reads_them(tmp_path, template, ch):
+    # np.loadtxt takes each of these for a space, so the one-walk parse must
+    # leave such a file to the line-by-line parse, also past its first block
+    p = tmp_path / "f.fib"
+    p.write_bytes(template.format(ch).encode())
+    assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
+
+
+@pytest.mark.parametrize("block_chars", [1, 5])
+def test_read_fibers_matches_the_line_by_line_parser_in_small_blocks(
+    tmp_path, monkeypatch, block_chars
+):
+    # lines, and CR LF pairs, are cut across the blocks the file is read in
+    monkeypatch.setattr(fileio, "_BLOCK_CHARS", block_chars)
+    p = tmp_path / "f.fib"
+    for name, text in _CORPUS.items():
+        p.write_bytes(text.encode())
+        assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p), name
+
+
+def traced_peak(fn) -> int:
+    """The peak of memory traced by tracemalloc while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def brownian_500(tmp_path_factory):
+    """500 seed-1 Brownian fibers of 100 points (2.7 MB of text) and their file."""
+    path = tmp_path_factory.mktemp("data") / "b500.fib"
+    fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=500, seed=1))
+    write_fibers(fibers, path)
+    return fibers, path
+
+
+def test_read_fibers_holds_less_than_twice_its_points(brownian_500):
+    # the text is read a block at a time; holding it whole, with a string per
+    # line and a list of coordinate lines, took 8 MB
+    fibers, path = brownian_500
+    points = sum(f.points.nbytes for f in fibers)
+    assert points == 500 * 100 * 3 * 8
+    assert traced_peak(lambda: read_fibers(path)) < 2 * points
+
+
+def test_write_fibers_holds_one_fiber_of_text(brownian_500, tmp_path):
+    # writing the whole text at once took 10.5 MB
+    fibers, path = brownian_500
+    out = tmp_path / "w.fib"
+    assert traced_peak(lambda: write_fibers(fibers, out)) < 500_000
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_dist_holds_less_than_four_and_a_half_times_its_csv(tmp_path):
+    # a string per row, their join and a copy with the last newline took
+    # 5.8 times the CSV (p = 1, every pair in the difference form)
+    src, out = tmp_path / "b200.fib", tmp_path / "d.csv"
+    fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=200, seed=1))
+    write_fibers(fibers, src)
+    peak = traced_peak(lambda: run(["dist", "--in", str(src), "--p", "1", "--out", str(out)]))
+    assert len(out.read_text().splitlines()) == 1 + 200 * 199 // 2
+    assert peak < 4.5 * out.stat().st_size
 
 
 class TestCliSimulate:
@@ -916,6 +1005,27 @@ def test_write_error_names_the_output(dataset_file, tmp_path, capsys, command, t
     assert err.count("\n") == 1
     assert ".fiberk-tmp-" not in err
     assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".fiberk-tmp-")]
+
+
+class _DiskFull(np.ndarray):
+    """Points whose text cannot be written: ``tolist`` fails as a full disk would."""
+
+    def tolist(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path):
+    # write_fibers writes a fiber at a time, so a failure can come after the
+    # first fibers are on disk: the temporary file goes and the old file stays
+    fibers = [Fiber(fid, [[0.0, 0, 0], [1.0, 0, 0]]) for fid in "abc"]
+    object.__setattr__(fibers[1], "points", fibers[1].points.view(_DiskFull))
+    out = tmp_path / "f.fib"
+    out.write_text("old")
+    want = f"^cannot write {re.escape(str(out))}: No space left on device$"
+    with pytest.raises(OSError, match=want):
+        write_fibers(fibers, out)
+    assert out.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.fib"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
