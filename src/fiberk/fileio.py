@@ -209,7 +209,8 @@ def _coordinate_lines(path, lines, n_fibers: int, records: list):
     Raises _Irregular at a record that ``_record`` refuses, at a fiber of
     fewer than 2 points, at a blank first coordinate line (np.loadtxt skips
     a blank line, and warns when it gets no data) or at end of file before
-    a record; a short last block leaves the lines yielded short."""
+    a record. A file that ends inside the last record's coordinate lines
+    gives fewer lines than the records count."""
     lineno = 1
     for _ in range(n_fibers):
         lineno += 1

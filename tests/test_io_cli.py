@@ -306,6 +306,7 @@ def test_read_fibers_reports_the_first_bad_line(tmp_path):
 _ODD_LINES = [
     "", "1 2", "1 2 3 4", "nan 0 0", "0 inf 0", "0 0 -inf", "1e999 0 0", "1_0 2 3",
     "0x1p3 0 0", "1\u00a02 3", "\u0661 2 3", "fiber x 2", "a b c", " 1\t2  3 ", "0 0 0",
+    "1 2\v3", "0 0 0\u2028", "\x1c",
 ]
 
 
@@ -402,8 +403,8 @@ def brownian_500(tmp_path_factory):
 
 
 def test_read_fibers_holds_less_than_twice_its_points(brownian_500):
-    # the text is read a block at a time; holding it whole, with a string per
-    # line and a list of coordinate lines, took 8 MB
+    # the text is read a block at a time, so the points and the one loadtxt
+    # result set the peak, not the 2.7 MB of text and its 50,500 lines
     fibers, path = brownian_500
     points = sum(f.points.nbytes for f in fibers)
     assert points == 500 * 100 * 3 * 8
@@ -411,7 +412,7 @@ def test_read_fibers_holds_less_than_twice_its_points(brownian_500):
 
 
 def test_write_fibers_holds_one_fiber_of_text(brownian_500, tmp_path):
-    # writing the whole text at once took 10.5 MB
+    # one fiber's text at a time, never the 2.7 MB of the whole file
     fibers, path = brownian_500
     out = tmp_path / "w.fib"
     assert traced_peak(lambda: write_fibers(fibers, out)) < 500_000
@@ -419,8 +420,8 @@ def test_write_fibers_holds_one_fiber_of_text(brownian_500, tmp_path):
 
 
 def test_dist_holds_less_than_four_and_a_half_times_its_csv(tmp_path):
-    # a string per row, their join and a copy with the last newline took
-    # 5.8 times the CSV (p = 1, every pair in the difference form)
+    # one string per first fiber and their join: about twice the CSV, besides
+    # the fibers and currents (p = 1, every pair in the difference form)
     src, out = tmp_path / "b200.fib", tmp_path / "d.csv"
     fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=200, seed=1))
     write_fibers(fibers, src)
