@@ -97,6 +97,12 @@ def _block_sums(pa, ta, pb, tb, p, sigma) -> np.ndarray:
     sq = np.add(d[0], d[2], out=d[0])
     sq += d[1]
     k = _kernel_of_dist(np.sqrt(sq, out=sq), p, sigma, out=sq)
+    # BLAS bits follow the tangents' layout too: C-ordered operands, and one
+    # operand when both sides share one buffer
+    if not (ta.flags.c_contiguous and tb.flags.c_contiguous):
+        same = _same_buffer(ta, tb)
+        ta = np.ascontiguousarray(ta)
+        tb = ta if same else np.ascontiguousarray(tb)
     return np.einsum("...ij,...ij->...", k, ta @ tb.swapaxes(-1, -2))
 
 
@@ -125,7 +131,9 @@ def _factored_sums(ua, wa, ub, wb, e=None, m=None) -> np.ndarray:
 def _same_buffer(a, b) -> bool:
     """Whether ``a`` and ``b`` view one buffer with one layout: numpy sends
     ``a @ a.T`` on one buffer to another BLAS routine than on two."""
-    return a.__array_interface__ == b.__array_interface__
+    return (a.ctypes.data, a.shape, a.strides, a.dtype) == (
+        b.ctypes.data, b.shape, b.strides, b.dtype
+    )
 
 
 def inner(pos_a, tan_a, pos_b, tan_b, p: float, sigma: float) -> float:

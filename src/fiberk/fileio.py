@@ -25,23 +25,19 @@ __all__ = ["FiberFileError", "read_fibers", "write_fibers", "write_kcsv"]
 
 _HEADER_MAGIC = "fiberset"
 _VERSION = "v1"
-# Characters at which str.splitlines ends a line and a split at "\n" does not
-# ("\r" is read as "\n"). np.loadtxt takes them for spaces, so a file holding
-# one is read line by line.
-_OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # Characters read, or written, at a time (16 KiB of ASCII text), so text
 # memory does not grow with the file. Reading a 500-fiber file (2.7 MB) took
 # the same time in blocks of 2**14 and 2**16 characters, with 0.3 MB less
 # peak memory in the smaller ones.
 _BLOCK_CHARS = 2**14
+# Coordinate lines at which a run of whole fibers ends: one np.loadtxt call
+# and one batch check each. The traced peak of reading a 500-fiber file was
+# 1.6 MB with runs of 2**10 lines and 2.0 MB with runs of 2**12.
+_RUN_LINES = 2**10
 
 
 class FiberFileError(ValueError):
     """Malformed fiber file; the message cites the offending line number."""
-
-
-class _Irregular(Exception):
-    """A fiber file that the one-walk parse does not vouch for."""
 
 
 @contextmanager
@@ -123,12 +119,12 @@ def _record(path, lineno: int, line: str) -> tuple[str, int]:
     return parts[1], n_points
 
 
-def _parse_block(path, lines, lineno: int, n_points: int) -> np.ndarray:
-    """The ``n_points`` coordinate lines after line ``lineno`` (1-based) as an
-    (n_points, 3) array, each coordinate read by ``float``; raises
+def _parse_block(path, lines, lineno: int) -> np.ndarray:
+    """The coordinate lines ``lines``, which follow line ``lineno`` (1-based),
+    as an (n, 3) array, each coordinate read by ``float``; raises
     FiberFileError at the first bad line."""
-    pts = np.empty((n_points, 3))
-    for i, line in enumerate(lines[lineno : lineno + n_points]):
+    pts = np.empty((len(lines), 3))
+    for i, line in enumerate(lines):
         where = f"{path}:{lineno + 1 + i}"
         coords = line.split()
         if len(coords) != 3:
@@ -142,58 +138,14 @@ def _parse_block(path, lines, lineno: int, n_points: int) -> np.ndarray:
     return pts
 
 
-def _records(path, lines, n_fibers):
-    """Yield ``(id, record line number, n_points)`` per fiber record, its
-    coordinate lines being the ``n_points`` lines after it; raises
-    FiberFileError at the first malformed record or at trailing content."""
-    lineno = 1
-    for _ in range(n_fibers):
-        lineno += 1
-        if lineno > len(lines):
-            raise FiberFileError(f"{path}:{lineno}: expected 'fiber' record, got end of file")
-        fid, n_points = _record(path, lineno, lines[lineno - 1])
-        if lineno + n_points > len(lines):
-            raise FiberFileError(f"{path}:{len(lines) + 1}: expected coordinate line, got end of file")
-        yield fid, lineno, n_points
-        lineno += n_points
-    if lineno != len(lines):
-        raise FiberFileError(f"{path}:{lineno + 1}: trailing content after {n_fibers} fibers")
-
-
-def _read_by_line(path) -> list[Fiber]:
-    """``read_fibers`` one coordinate line at a time, on the whole text: the
-    parse that words every refusal."""
-    with open(path, "r", newline=None) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FiberFileError(f"{path}:1: missing header")
-    n_fibers = _fiber_count(path, lines[0])
-    records, record_error = [], None
-    try:
-        records.extend(_records(path, lines, n_fibers))
-    except FiberFileError as exc:
-        record_error = exc
-    fibers: list[Fiber] = []
-    for fid, at, n in records:
-        block = _parse_block(path, lines, at, n)
-        try:
-            fibers.append(Fiber(fid, block))
-        except ValueError as exc:
-            raise FiberFileError(f"{path}:{at + n}: invalid fiber {fid!r}: {exc}") from None
-    if record_error is not None:
-        raise record_error
-    return fibers
-
-
 def _lines(fh):
     """The lines of the text file ``fh``, read a block at a time, as
-    ``str.splitlines`` gives them; raises _Irregular at a block holding one
-    of ``_OTHER_LINE_BREAKS``."""
+    ``str.splitlines`` gives them."""
     pieces: list[str] = []  # of a line that goes on past its blocks so far
     while block := fh.read(_BLOCK_CHARS):
-        if any(ch in block for ch in _OTHER_LINE_BREAKS):
-            raise _Irregular
-        *lines, rest = block.split("\n")
+        lines = block.splitlines()
+        # a block that does not end at a line break ends inside its last line
+        rest = lines.pop() if lines[-1][-1:] == block[-1] else ""
         if lines:
             lines[0] = "".join(pieces) + lines[0]
             pieces = []
@@ -203,73 +155,95 @@ def _lines(fh):
         yield rest
 
 
-def _coordinate_lines(path, lines, n_fibers: int, records: list):
-    """Yield the coordinate lines of the ``n_fibers`` records that ``lines``
-    holds next, appending ``(id, n_points)`` per record to ``records``.
-    Raises _Irregular at a record that ``_record`` refuses, at a fiber of
-    fewer than 2 points, at a blank first coordinate line (np.loadtxt skips
-    a blank line, and warns when it gets no data) or at end of file before
-    a record. A file that ends inside the last record's coordinate lines
-    gives fewer lines than the records count."""
-    lineno = 1
-    for _ in range(n_fibers):
-        lineno += 1
+def _runs(path, lines):
+    """Yield ``(records, coordinate lines)`` for each run of whole fibers in
+    the fiber file whose lines ``lines`` gives, each record being ``(id,
+    record line number, n_points)``. A run ends at the first fiber that
+    brings it to ``_RUN_LINES`` coordinate lines, or at the end. A malformed
+    header or record, end of file before the last coordinate line, trailing
+    content or undecodable text raises FiberFileError once the run before
+    it is yielded."""
+    records, run, error = [], [], None
+    try:
+        header = next(lines, None)
+        if header is None:
+            raise FiberFileError(f"{path}:1: missing header")
+        n_fibers = _fiber_count(path, header)
+        lineno = 1
+        for _ in range(n_fibers):
+            lineno += 1
+            line = next(lines, None)
+            if line is None:
+                raise FiberFileError(f"{path}:{lineno}: expected 'fiber' record, got end of file")
+            fid, n_points = _record(path, lineno, line)
+            coordinate_lines = list(islice(lines, n_points))
+            if len(coordinate_lines) < n_points:
+                end = lineno + len(coordinate_lines) + 1
+                raise FiberFileError(f"{path}:{end}: expected coordinate line, got end of file")
+            records.append((fid, lineno, n_points))
+            run += coordinate_lines
+            lineno += n_points
+            if len(run) >= _RUN_LINES:
+                yield records, run
+                records, run = [], []
+        if next(lines, None) is not None:
+            raise FiberFileError(f"{path}:{lineno + 1}: trailing content after {n_fibers} fibers")
+    except FiberFileError as exc:
+        error = exc
+    except UnicodeDecodeError as exc:
+        error = FiberFileError(f"{path}: not {exc.encoding} text: {exc.reason}")
+    yield records, run
+    if error is not None:
+        raise error
+
+
+def _run_fibers(path, records, run) -> list[Fiber]:
+    """The fibers of one run from ``_runs``: its coordinate lines parsed by
+    one ``np.loadtxt`` call and checked as one batch or, when either
+    refuses, one fiber at a time, so that the message names the first bad
+    line."""
+    starts = np.cumsum([0] + [n for _, _, n in records])
+    # loadtxt skips blank lines (and warns when it gets no data), and any
+    # token it reads as finite, float() reads the same
+    if run and run[0].split():
         try:
-            fid, n_points = _record(path, lineno, next(lines, ""))
-        except FiberFileError:
-            raise _Irregular from None
-        first = next(lines, "")
-        if n_points < 2 or not first.split():
-            raise _Irregular
-        records.append((fid, n_points))
-        yield first
-        yield from islice(lines, n_points - 1)
-        lineno += n_points
-
-
-def _read_walk(path, fh) -> list[Fiber]:
-    """``read_fibers`` in one walk over ``fh``, with one ``np.loadtxt`` call
-    over the coordinate lines as they are read; raises _Irregular, or
-    ValueError, unless the file is well formed and that call gives three
-    finite values for every coordinate line."""
-    lines = _lines(fh)
-    n_fibers = _fiber_count(path, next(lines, ""))
-    records: list[tuple[str, int]] = []
-    pts = np.empty((0, 3))
-    if n_fibers:
-        coordinate_lines = _coordinate_lines(path, lines, n_fibers, records)
-        pts = np.loadtxt(coordinate_lines, dtype=np.float64, comments=None, ndmin=2)
-    starts = np.cumsum([0] + [n for _, n in records])
-    # loadtxt skips blank lines, and any token it reads as finite, float()
-    # reads the same
-    if pts.shape != (starts[-1], 3) or not np.isfinite(pts).all():
-        raise _Irregular
-    if next(lines, None) is not None:
-        raise _Irregular  # trailing content
-    _validated_points(pts, starts)
-    return [Fiber._of_valid(fid, pts[a:b]) for (fid, _), a, b in zip(records, starts, starts[1:])]
+            pts = np.loadtxt(run, dtype=np.float64, comments=None, ndmin=2)
+            if pts.shape == (len(run), 3):
+                _validated_points(pts, starts)
+                return [
+                    Fiber._of_valid(fid, pts[a:b])
+                    for (fid, _, _), a, b in zip(records, starts, starts[1:])
+                ]
+        except ValueError:
+            pass
+    fibers = []
+    for (fid, at, n), a in zip(records, starts):
+        pts = _parse_block(path, run[a : a + n], at)
+        try:
+            fibers.append(Fiber(fid, pts))
+        except ValueError as exc:
+            raise FiberFileError(f"{path}:{at + n}: invalid fiber {fid!r}: {exc}") from None
+    return fibers
 
 
 def read_fibers(path) -> list[Fiber]:
     """Parse a fiber file, reporting 1-based line numbers on error.
 
-    One walk over the file, a block of text at a time: each ``fiber <id> <n>``
-    record is checked as it is read, and its coordinate lines go on to one
-    ``np.loadtxt`` call; the points of that call are checked as one batch.
-    Text memory stays near one block. Only a file that this walk does not
-    vouch for (a malformed record, header or coordinate line, an invalid
-    fiber, trailing content, or a line break other than CR, LF or CRLF) is
-    read again, one line at a time, so that the message names the line; the
-    accepted syntax is the same (each coordinate as Python ``float`` reads
-    it, so ``1_0`` is 10). Errors are raised in line order: a bad coordinate
-    line or an invalid fiber comes before a bad record that follows it.
+    One walk over the file, a block of text at a time, split into lines as
+    ``str.splitlines`` splits them. Each ``fiber <id> <n>`` record is checked
+    as it is read, and the coordinate lines of each run of whole fibers
+    (about ``_RUN_LINES`` lines, or one longer fiber) go to one
+    ``np.loadtxt`` call, whose points are checked as one batch. A run that
+    either refuses is parsed again from its lines, one fiber at a time, so
+    that the message names the first bad line; the accepted syntax is the
+    same (each coordinate as Python ``float`` reads it, so ``1_0`` is 10).
+    Errors are raised in line order: a bad coordinate line or an invalid
+    fiber comes before a bad record that follows it. The file is read once,
+    and memory holds the fibers and one run of text.
     """
     with open(path, "r", newline=None) as fh:
-        try:
-            return _read_walk(path, fh)
-        except (_Irregular, ValueError):
-            pass
-    return _read_by_line(path)
+        runs = _runs(path, _lines(fh))
+        return [fiber for records, run in runs for fiber in _run_fibers(path, records, run)]
 
 
 def write_kcsv(result, path) -> None:

@@ -377,28 +377,39 @@ def _layouts(x):
 
 @pytest.mark.parametrize("p", [1.0, 3.0, 1024.0, math.inf])
 @pytest.mark.parametrize("sigma", [0.5, 10.0])
-def test_difference_form_sums_do_not_depend_on_the_positions_layout(mixed, p, sigma):
+def test_difference_form_sums_do_not_depend_on_the_positions_layout(mixed, rng, p, sigma):
     # the bits of exp and of einsum's sum follow the layout of their
-    # operands, so the differences must come out C-ordered whatever the
-    # layout of the positions (the tangents go to BLAS, which has rules of
-    # its own, and stay C-ordered here)
+    # operands, and those of the BLAS tangent product follow the tangents'
+    # layout and whether both sides share one buffer: the sums must not
+    # depend on the layout of the positions or of the tangents, on separate
+    # buffers or on one shared buffer
     twenty = [c for c in mixed if len(c) == 20][:6]
     pos, tan = np.stack([c.positions for c in twenty]), np.stack([c.tangents for c in twenty])
     pa, ta, pb, tb = pos[:3], tan[:3], pos[3:], tan[3:]
+    # (5, 5) is one current on both sides; 257 x 260 atoms take BLAS kernels
+    # that 40 atoms do not reach
+    big = [DiscreteCurrent(*rng.uniform(-30.0, 30.0, (2, m, 3))) for m in (257, 260)]
     cross = [(mixed[i], mixed[j]) for i, j in [(0, 39), (25, 31), (NEAR, FAR), (39, 7), (5, 5)]]
+    cross += [(big[0], big[1]), (big[1], big[1])]
     want_block = _block_sums(pa, ta, pb, tb, p, sigma).tolist()
+    want_self = _block_sums(pa, ta, pa, ta, p, sigma).tolist()
     assert want_block == [inner(pa[n], ta[n], pb[n], tb[n], p, sigma) for n in range(3)]
     want = [inner(a.positions, a.tangents, b.positions, b.tangents, p, sigma) for a, b in cross]
     for layout in _layouts(pa):
-        xa, xb = _layouts(pa)[layout], _layouts(pb)[layout]
-        pairs = [(_layouts(a.positions)[layout], _layouts(b.positions)[layout]) for a, b in cross]
-        inputs = [xa, xb, ta, tb, *(x for pair in pairs for x in pair)]
+
+        def laid(x):
+            return _layouts(x)[layout]
+
+        xa, sa, xb, sb = laid(pa), laid(ta), laid(pb), laid(tb)
+        pairs = []
+        for a, b in cross:
+            x, t = laid(a.positions), laid(a.tangents)
+            pairs.append((x, t, x, t) if a is b else (x, t, laid(b.positions), laid(b.tangents)))
+        inputs = [xa, sa, xb, sb, *(x for pair in pairs for x in pair)]
         before = [x.copy() for x in inputs]
-        assert _block_sums(xa, ta, xb, tb, p, sigma).tolist() == want_block, layout
-        got = [
-            inner(x, a.tangents, y, b.tangents, p, sigma) for (x, y), (a, b) in zip(pairs, cross)
-        ]
-        assert got == want, layout
+        assert _block_sums(xa, sa, xb, sb, p, sigma).tolist() == want_block, layout
+        assert _block_sums(xa, sa, xa, sa, p, sigma).tolist() == want_self, layout
+        assert [inner(*pair, p, sigma) for pair in pairs] == want, layout
         # the in-place kernel writes only into arrays of its own
         assert all(x.tobytes() == y.tobytes() for x, y in zip(inputs, before)), layout
 

@@ -206,7 +206,7 @@ _CORPUS = {
     "line separator inside a line": _VALID.replace("1 0 0", "1 0\u2028 0"),
     "no final newline": _VALID[:-1],
     "empty file": "",
-    # the one-call parse must fall back on each of these, though their
+    # the one-call parse of a run must refuse each of these, though their
     # records and line counts fit (and the first one's token total too)
     "right token total, wrong shape": _VALID.replace("0 0 0\n1 0 0", "0 0\n1 0 0 0"),
     "comment line": _VALID.replace("1 0 0", "# 1 0 0"),
@@ -251,15 +251,17 @@ def test_read_fibers_names_a_bad_record(tmp_path, name, message):
 
 
 def test_a_well_formed_file_is_parsed_by_one_loadtxt_call(tmp_path, monkeypatch):
-    # without this, a file could silently go through the line-by-line path
+    # without this, a file could silently go through the fiber-by-fiber path;
+    # one loadtxt call per run of whole fibers (100 points each), every run
+    # but the last reaching _RUN_LINES coordinate lines
     fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=50, seed=1))
     p = tmp_path / "f.fib"
     write_fibers(fibers, p)
     loadtxt, calls = np.loadtxt, []
 
-    def counted_loadtxt(*args, **kwargs):
-        calls.append(1)
-        return loadtxt(*args, **kwargs)
+    def counted_loadtxt(lines, *args, **kwargs):
+        calls.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
 
     def refuse(*args):
         raise AssertionError("the coordinate lines were read one at a time")
@@ -267,7 +269,8 @@ def test_a_well_formed_file_is_parsed_by_one_loadtxt_call(tmp_path, monkeypatch)
     monkeypatch.setattr(fileio.np, "loadtxt", counted_loadtxt)
     monkeypatch.setattr(fileio, "_parse_block", refuse)
     assert read_fibers(p) == fibers
-    assert len(calls) == 1
+    assert sum(calls) == 50 * 100 and all(n % 100 == 0 for n in calls)
+    assert len(calls) > 1 and min(calls[:-1]) >= fileio._RUN_LINES
 
 
 _WIDE = (
@@ -364,8 +367,8 @@ _OTHER_LINE_BREAK_FILES = {
     ids=lambda ch: f"U+{ord(ch):04X}",
 )
 def test_other_line_breaks_read_as_the_line_by_line_parser_reads_them(tmp_path, template, ch):
-    # np.loadtxt takes each of these for a space, so the one-walk parse must
-    # leave such a file to the line-by-line parse, also past its first block
+    # np.loadtxt takes each of these for a space, so the walk must split lines
+    # at them before a run reaches loadtxt, also past its first block
     p = tmp_path / "f.fib"
     p.write_bytes(template.format(ch).encode())
     assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
@@ -403,12 +406,45 @@ def brownian_500(tmp_path_factory):
 
 
 def test_read_fibers_holds_less_than_twice_its_points(brownian_500):
-    # the text is read a block at a time, so the points and the one loadtxt
-    # result set the peak, not the 2.7 MB of text and its 50,500 lines
+    # the text is read a block at a time and parsed a run at a time, so the
+    # points set the peak, not the 2.7 MB of text and its 50,500 lines
     fibers, path = brownian_500
     points = sum(f.points.nbytes for f in fibers)
     assert points == 500 * 100 * 3 * 8
     assert traced_peak(lambda: read_fibers(path)) < 2 * points
+
+
+def test_read_fibers_refuses_a_bad_last_line_in_less_than_twice_its_points(brownian_500, tmp_path):
+    # the refusal comes from the same walk: the file is not read again whole
+    fibers, path = brownian_500
+    lines = path.read_text().splitlines()
+    x, y, _ = lines[-1].split()
+    lines[-1] = f"{x} {y} nan"
+    bad = tmp_path / "nan.fib"
+    bad.write_text("\n".join(lines) + "\n")
+
+    def refused():
+        with pytest.raises(FiberFileError, match=r"nan\.fib:50501: non-finite coordinate$"):
+            read_fibers(bad)
+
+    assert traced_peak(refused) < 2 * sum(f.points.nbytes for f in fibers)
+
+
+def test_read_fibers_opens_a_file_once(tmp_path, monkeypatch):
+    # a malformed file is refused in the walk that reads it
+    p = tmp_path / "f.fib"
+    opened = []
+
+    def counted_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(fileio, "open", counted_open, raising=False)
+    for name, text in _CORPUS.items():
+        p.write_bytes(text.encode())
+        opened.clear()
+        parse_outcome(read_fibers, p)
+        assert opened == [p], name
 
 
 def test_write_fibers_holds_one_fiber_of_text(brownian_500, tmp_path):
@@ -419,13 +455,15 @@ def test_write_fibers_holds_one_fiber_of_text(brownian_500, tmp_path):
     assert out.read_bytes() == path.read_bytes()
 
 
-def test_dist_holds_less_than_four_and_a_half_times_its_csv(tmp_path):
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_dist_holds_less_than_four_and_a_half_times_its_csv(tmp_path, p):
     # one string per first fiber and their join: about twice the CSV, besides
-    # the fibers and currents (p = 1, every pair in the difference form)
+    # the fibers and currents (p = 1: every pair in the difference form; p = 2:
+    # the factored form, which compares each side's buffer)
     src, out = tmp_path / "b200.fib", tmp_path / "d.csv"
     fibers = make_dataset(SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=200, seed=1))
     write_fibers(fibers, src)
-    peak = traced_peak(lambda: run(["dist", "--in", str(src), "--p", "1", "--out", str(out)]))
+    peak = traced_peak(lambda: run(["dist", "--in", str(src), "--p", p, "--out", str(out)]))
     assert len(out.read_text().splitlines()) == 1 + 200 * 199 // 2
     assert peak < 4.5 * out.stat().st_size
 
@@ -712,6 +750,8 @@ _TWO_LINES = "fiberset v1 2\nfiber a 2\n0 0 0\n40 0 0\nfiber b 2\n0 5 0\n40 5 0\
 _NEAR_DUPLICATE = (
     "fiberset v1 2\nfiber a 2\n0 0 0\n10 0 1\nfiber b 3\n0 5 0\n1e-160 5 0\n40 5 0\n"
 )
+# not UTF-8: a file error (exit 1), not a bad flag value (exit 2)
+_UNDECODABLE = b"fiberset v1 1\nfiber a 2\n0 0 0\n1 \xff 0\n"
 
 
 @pytest.mark.parametrize(
@@ -719,6 +759,10 @@ _NEAR_DUPLICATE = (
     [
         pytest.param(["kfun", "--in", "{malformed}", "--inset", "0.13"], 1, id="kfun-malformed"),
         pytest.param(["dist", "--in", "{malformed}"], 1, id="dist-malformed"),
+        pytest.param(
+            ["kfun", "--in", "{undecodable}", "--inset", "0.13"], 1, id="kfun-undecodable"
+        ),
+        pytest.param(["dist", "--in", "{undecodable}"], 1, id="dist-undecodable"),
         pytest.param([*_SIMULATE, "--out", "{unwritable}"], 1, id="simulate-unwritable"),
         pytest.param(
             ["kfun", "--in", "{data}", "--inset", "0.13", "--out", "{unwritable}"],
@@ -851,6 +895,8 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     two.write_text(_TWO_LINES)
     near = tmp_path / "near.fib"
     near.write_text(_NEAR_DUPLICATE)
+    undecodable = tmp_path / "undecodable.fib"
+    undecodable.write_bytes(_UNDECODABLE)
     out = tmp_path / "out"
     unwritable = tmp_path / "missing" / "out"
     paths = {
@@ -861,6 +907,7 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
         "{tiny}": tiny,
         "{two}": two,
         "{near}": near,
+        "{undecodable}": undecodable,
         "{missing}": tmp_path / "missing.fib",
         "{unwritable}": unwritable,
     }
