@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backends
-from .fiber_core import Fiber, _resampled_points
+from .fiber_core import Fiber, _all_nonzero, _resampled_points
 
 __all__ = [
     "KernelParams",
@@ -102,9 +102,9 @@ def _check_atoms(tan: np.ndarray, *coordinates: np.ndarray) -> None:
     """Raises ValueError unless every value of each of ``coordinates`` is
     finite and every weighted tangent of ``tan`` nonzero."""
     for values in coordinates:
-        if not np.isfinite(values).all():
+        if not _all_nonzero(np.isfinite(values)):
             raise ValueError("atom coordinates must be finite")
-    if not np.einsum("ij,ij->i", tan, tan).all():
+    if not _all_nonzero(np.einsum("ij,ij->i", tan, tan)):
         raise ValueError("weighted tangents must be nonzero")
 
 

@@ -51,6 +51,13 @@ class CenterFunctionKind(Enum):
     ARCLENGTH_MIDPOINT = "midpoint"
 
 
+def _all_nonzero(values: np.ndarray) -> bool:
+    """``values.all()``, by ``np.count_nonzero``, which needs no reduction:
+    on the few values of a short fiber a reduction's set-up costs more than
+    the test (about 2 us against 0.6, numpy 2.4 on x86-64)."""
+    return np.count_nonzero(values) == values.size
+
+
 def _largest_coordinate(values, what: str) -> float:
     """The largest magnitude among ``values``. Raises ValueError naming
     ``what`` unless every value is finite and within +-``MAX_COORDINATE``."""
@@ -98,13 +105,21 @@ def _validated_points(points, starts=None) -> np.ndarray:
         extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
         if extent.max() > MAX_COORDINATE:
             raise ValueError(f"fiber points must span at most {MAX_COORDINATE:g} along each axis")
+    _refuse_repeats(pts, starts)
+    return pts
+
+
+def _refuse_repeats(pts: np.ndarray, starts=None) -> None:
+    """Raise ValueError unless consecutive points of each fiber of ``pts``
+    (split at ``starts`` as in ``_validated_points``) are distinct: their
+    squared step length must not be 0, so a step that underflows counts as
+    a repeat."""
     seg = pts[1:] - pts[:-1]
     distinct = np.einsum("ij,ij->i", seg, seg)
     if starts is not None:
         distinct[starts[1:-1] - 1] = 1.0  # from one fiber's last point to the next's first
-    if not distinct.all():
+    if not _all_nonzero(distinct):
         raise ValueError("consecutive fiber points must be distinct")
-    return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +175,15 @@ class CenteredFiber:
         _largest_coordinate(c, "center")
         c.setflags(write=False)
         object.__setattr__(self, "original_center", c)
+
+    @classmethod
+    def _of_valid(cls, c: np.ndarray, fiber: Fiber) -> CenteredFiber:
+        """A centered fiber on the read-only float64 3-vector ``c``, which
+        passes the center check, and ``fiber``."""
+        centered = object.__new__(cls)
+        object.__setattr__(centered, "original_center", c)
+        object.__setattr__(centered, "fiber", fiber)
+        return centered
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,10 +367,27 @@ def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     ``MASS_CENTER`` is the arclength-weighted centroid (segment midpoints
     weighted by segment length, exact for polylines); ``ARCLENGTH_MIDPOINT``
     is the point at half the total arclength.
+
+    The centered copy is checked for what translating a checked fiber can
+    break: its consecutive points must stay distinct, as a difference can
+    round away. Its coordinates and extent, and the center, are checked
+    against ``MAX_COORDINATE`` only when one of their magnitudes passes half
+    of it; below that, none of these checks can fail. Raises ValueError with
+    the message of the check that fails, the centered points' checks first
+    (as ``Fiber``, then ``CenteredFiber``, would check them).
     """
     c = _center_of(fiber, kind)
-    centered = Fiber._of_valid(fiber.id, _validated_points(fiber.points - c))
-    return CenteredFiber(original_center=c, fiber=centered)
+    pts = fiber.points - c
+    x, y, z = c.tolist()
+    half = 0.5 * MAX_COORDINATE
+    # within half the bound (which nan fails), the coordinate and center
+    # checks pass and the extent check is not reached
+    if _all_nonzero(np.abs(pts) <= half) and abs(x) <= half and abs(y) <= half and abs(z) <= half:
+        _refuse_repeats(pts)
+    else:
+        pts = _validated_points(pts)
+        _largest_coordinate(c, "center")
+    return CenteredFiber._of_valid(c, Fiber._of_valid(fiber.id, pts))
 
 
 def segment(fiber: Fiber, max_length: float) -> list[Fiber]:

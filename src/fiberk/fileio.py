@@ -14,6 +14,7 @@ values at 17 significant digits.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from itertools import islice
 
@@ -34,6 +35,9 @@ _BLOCK_CHARS = 2**14
 # and one batch check each. The traced peak of reading a 500-fiber file was
 # 1.6 MB with runs of 2**10 lines and 2.0 MB with runs of 2**12.
 _RUN_LINES = 2**10
+# What a byte that is not UTF-8 reads as under errors="surrogateescape"; valid
+# UTF-8 never decodes to a surrogate.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class FiberFileError(ValueError):
@@ -42,19 +46,20 @@ class FiberFileError(ValueError):
 
 @contextmanager
 def _replacing(path):
-    """A text file (LF line endings) whose content replaces ``path`` when the
-    block ends without error: it is a temporary file beside ``path``, moved
-    onto it at the end. The file gets the mode ``open`` gives a new file,
-    0o666 less the umask (``tempfile.mkstemp`` would give 0o600), whether or
-    not ``path`` existed. On any failure the temporary file is removed; an OS
-    error is raised again as ``OSError("cannot write <path>: <reason>")``."""
+    """A UTF-8 text file (LF line endings, as ``read_fibers`` reads) whose
+    content replaces ``path`` when the block ends without error: it is a
+    temporary file beside ``path``, moved onto it at the end. The file gets
+    the mode ``open`` gives a new file, 0o666 less the umask
+    (``tempfile.mkstemp`` would give 0o600), whether or not ``path``
+    existed. On any failure the temporary file is removed; an OS error is
+    raised again as ``OSError("cannot write <path>: <reason>")``."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         name = os.path.join(directory, f".fiberk-tmp-{os.urandom(8).hex()}")
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:
@@ -88,10 +93,18 @@ def write_fibers(fibers: list[Fiber], path) -> None:
             fh.write("".join([f"{x!r} {y!r} {z!r}\n" for x, y, z in f.points.tolist()]))
 
 
+def _decoded(path, lineno: int, line: str) -> str:
+    """``line``, line ``lineno``; raises FiberFileError when it holds a byte
+    that is not UTF-8. Only a line that is not ASCII is searched."""
+    if not line.isascii() and _ESCAPED_BYTE.search(line):
+        raise FiberFileError(f"{path}:{lineno}: not utf-8 text")
+    return line
+
+
 def _fiber_count(path, line: str) -> int:
     """The fiber count of the header ``line``; raises FiberFileError unless
     it reads ``fiberset v1 <n_fibers>`` with ``n_fibers >= 0``."""
-    header = line.split()
+    header = _decoded(path, 1, line).split()
     if len(header) != 3 or header[0] != _HEADER_MAGIC or header[1] != _VERSION:
         raise FiberFileError(f"{path}:1: malformed header {line!r}")
     try:
@@ -107,7 +120,7 @@ def _record(path, lineno: int, line: str) -> tuple[str, int]:
     """The id and point count of the fiber record ``line``, line ``lineno``;
     raises FiberFileError unless it reads ``fiber <id> <n_points>`` with
     ``n_points >= 0``."""
-    parts = line.split()
+    parts = _decoded(path, lineno, line).split()
     if len(parts) != 3 or parts[0] != "fiber":
         raise FiberFileError(f"{path}:{lineno}: expected 'fiber <id> <n_points>', got {line!r}")
     try:
@@ -126,7 +139,7 @@ def _parse_block(path, lines, lineno: int) -> np.ndarray:
     pts = np.empty((len(lines), 3))
     for i, line in enumerate(lines):
         where = f"{path}:{lineno + 1 + i}"
-        coords = line.split()
+        coords = _decoded(path, lineno + 1 + i, line).split()
         if len(coords) != 3:
             raise FiberFileError(f"{where}: expected 3 coordinates, got {line!r}")
         try:
@@ -160,9 +173,11 @@ def _runs(path, lines):
     the fiber file whose lines ``lines`` gives, each record being ``(id,
     record line number, n_points)``. A run ends at the first fiber that
     brings it to ``_RUN_LINES`` coordinate lines, or at the end. A malformed
-    header or record, end of file before the last coordinate line, trailing
-    content or undecodable text raises FiberFileError once the run before
-    it is yielded."""
+    header or record, end of file before the last coordinate line, or
+    trailing content raises FiberFileError once the run before it is
+    yielded; so does a header, record or trailing line holding a byte that
+    is not UTF-8 (a coordinate line holding one fails loadtxt, and
+    ``_parse_block`` names it)."""
     records, run, error = [], [], None
     try:
         header = next(lines, None)
@@ -186,12 +201,11 @@ def _runs(path, lines):
             if len(run) >= _RUN_LINES:
                 yield records, run
                 records, run = [], []
-        if next(lines, None) is not None:
+        if (line := next(lines, None)) is not None:
+            _decoded(path, lineno + 1, line)
             raise FiberFileError(f"{path}:{lineno + 1}: trailing content after {n_fibers} fibers")
     except FiberFileError as exc:
         error = exc
-    except UnicodeDecodeError as exc:
-        error = FiberFileError(f"{path}: not {exc.encoding} text: {exc.reason}")
     yield records, run
     if error is not None:
         raise error
@@ -229,19 +243,21 @@ def _run_fibers(path, records, run) -> list[Fiber]:
 def read_fibers(path) -> list[Fiber]:
     """Parse a fiber file, reporting 1-based line numbers on error.
 
-    One walk over the file, a block of text at a time, split into lines as
-    ``str.splitlines`` splits them. Each ``fiber <id> <n>`` record is checked
-    as it is read, and the coordinate lines of each run of whole fibers
-    (about ``_RUN_LINES`` lines, or one longer fiber) go to one
+    One walk over the file, a block of UTF-8 text at a time, split into lines
+    as ``str.splitlines`` splits them. Each ``fiber <id> <n>`` record is
+    checked as it is read, and the coordinate lines of each run of whole
+    fibers (about ``_RUN_LINES`` lines, or one longer fiber) go to one
     ``np.loadtxt`` call, whose points are checked as one batch. A run that
     either refuses is parsed again from its lines, one fiber at a time, so
     that the message names the first bad line; the accepted syntax is the
     same (each coordinate as Python ``float`` reads it, so ``1_0`` is 10).
-    Errors are raised in line order: a bad coordinate line or an invalid
-    fiber comes before a bad record that follows it. The file is read once,
+    A line holding a byte that is not UTF-8 is refused as ``<path>:<line>:
+    not utf-8 text`` before it is parsed. Errors are raised in line order:
+    a bad coordinate line or an invalid fiber comes before a bad record, or
+    a byte that is not UTF-8, that follows it. The file is read once,
     and memory holds the fibers and one run of text.
     """
-    with open(path, "r", newline=None) as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=None) as fh:
         runs = _runs(path, _lines(fh))
         return [fiber for records, run in runs for fiber in _run_fibers(path, records, run)]
 

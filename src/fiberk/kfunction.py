@@ -147,12 +147,14 @@ def _center_and_pack(fibers, kind, spacing):
     its packing."""
     centers = np.empty((len(fibers), 3))
     positions, tangents = [np.empty((0, 3))], [np.empty((0, 3))]
-    offsets = np.zeros(len(fibers) + 1, dtype=np.int64)
     for i, (c, cur) in enumerate(_centered_currents(fibers, kind, spacing)):
         centers[i] = c
         positions.append(cur.positions)
         tangents.append(cur.tangents)
-        offsets[i + 1] = offsets[i] + len(cur)
+    # the sizes and then their running sums in one array, with no per-fiber
+    # numpy writes and no size list beside the atoms while they are stacked
+    offsets = np.fromiter(map(len, positions), np.int64, len(positions))
+    np.cumsum(offsets, out=offsets)
     return centers, np.vstack(positions), np.vstack(tangents), offsets
 
 

@@ -1,12 +1,18 @@
 """Straightforward reference versions of the fiber-file parser, of
-``segment`` and of the currents inner product, kept as test oracles for the
-vectorised or cached library code, and the analytic short-line limit of the
-currents distance.
+``segment``, of ``center`` and of the currents inner product, kept as test
+oracles for the vectorised or cached library code, and the analytic
+short-line limit of the currents distance.
 
-``read_fibers_by_line`` parses one coordinate line at a time and
+``read_fibers_by_line`` parses one coordinate line at a time, refusing a line
+that holds a byte that is not UTF-8 before it reads it, and
 ``segment_by_piece`` interpolates the two cut points of each piece
 separately, with arclengths from ``np.linalg.norm``. The library versions must give bit-identical fibers and, on
 malformed files, the same ``FiberFileError`` message.
+
+``center_by_composition`` checks a centered copy in full: its points as a new
+``Fiber``, then its center as ``CenteredFiber`` does; ``center_and_pack_per_fiber``
+packs those copies' atoms with offsets summed one fiber at a time. The library
+must give the same bits, and refuse with the same message.
 
 ``inner_product_per_call`` rebuilds both canonical listings and sums the
 kernel on every call, self sums included; the library keeps both on the
@@ -14,19 +20,28 @@ current and must return the same bits.
 """
 
 import math
+import re
 
 import numpy as np
 
-from fiberk import Fiber, FiberFileError, backends
+from fiberk import CenteredFiber, Fiber, FiberFileError, backends, discretize
 from fiberk.currents import _shape_distance
+from fiberk.fiber_core import _center_point
+
+
+def _decoded(path, lineno, line):
+    # errors="surrogateescape" reads each byte that is not UTF-8 as one of these
+    if re.search("[\udc80-\udcff]", line):
+        raise FiberFileError(f"{path}:{lineno}: not utf-8 text")
+    return line
 
 
 def read_fibers_by_line(path) -> list[Fiber]:
-    with open(path, "r", newline=None) as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=None) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise FiberFileError(f"{path}:1: missing header")
-    header = lines[0].split()
+    header = _decoded(path, 1, lines[0]).split()
     if len(header) != 3 or header[0] != "fiberset" or header[1] != "v1":
         raise FiberFileError(f"{path}:1: malformed header {lines[0]!r}")
     try:
@@ -41,7 +56,7 @@ def read_fibers_by_line(path) -> list[Fiber]:
         lineno += 1
         if lineno > len(lines):
             raise FiberFileError(f"{path}:{lineno}: expected 'fiber' record, got end of file")
-        parts = lines[lineno - 1].split()
+        parts = _decoded(path, lineno, lines[lineno - 1]).split()
         if len(parts) != 3 or parts[0] != "fiber":
             raise FiberFileError(
                 f"{path}:{lineno}: expected 'fiber <id> <n_points>', got {lines[lineno - 1]!r}"
@@ -58,7 +73,7 @@ def read_fibers_by_line(path) -> list[Fiber]:
         pts = np.empty((n_points, 3))
         for k in range(n_points):
             lineno += 1
-            coords = lines[lineno - 1].split()
+            coords = _decoded(path, lineno, lines[lineno - 1]).split()
             if len(coords) != 3:
                 raise FiberFileError(
                     f"{path}:{lineno}: expected 3 coordinates, got {lines[lineno - 1]!r}"
@@ -76,6 +91,7 @@ def read_fibers_by_line(path) -> list[Fiber]:
         except ValueError as exc:
             raise FiberFileError(f"{path}:{lineno}: invalid fiber {fid!r}: {exc}") from None
     if lineno != len(lines):
+        _decoded(path, lineno + 1, lines[lineno])
         raise FiberFileError(f"{path}:{lineno + 1}: trailing content after {n_fibers} fibers")
     return fibers
 
@@ -107,6 +123,25 @@ def segment_by_piece(fiber: Fiber, max_length: float) -> list[Fiber]:
         )
         pieces.append(Fiber(f"{fiber.id}.{k}", piece))
     return pieces
+
+
+def center_by_composition(fiber: Fiber, kind) -> CenteredFiber:
+    c = _center_point(fiber.points, kind)
+    return CenteredFiber(c, Fiber(fiber.id, fiber.points - c))
+
+
+def center_and_pack_per_fiber(fibers, kind, spacing):
+    centers = np.empty((len(fibers), 3))
+    positions, tangents = [np.empty((0, 3))], [np.empty((0, 3))]
+    offsets = np.zeros(len(fibers) + 1, dtype=np.int64)
+    for i, f in enumerate(fibers):
+        c = center_by_composition(f, kind)
+        cur = discretize(c.fiber, spacing)
+        centers[i] = c.original_center
+        positions.append(cur.positions)
+        tangents.append(cur.tangents)
+        offsets[i + 1] = offsets[i] + len(cur)
+    return centers, np.vstack(positions), np.vstack(tangents), offsets
 
 
 def signed_canonical_per_call(current):

@@ -414,6 +414,27 @@ def test_difference_form_sums_do_not_depend_on_the_positions_layout(mixed, rng, 
         assert all(x.tobytes() == y.tobytes() for x, y in zip(inputs, before)), layout
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_inner_sums_do_not_depend_on_the_input_layout(p):
+    # at p = 2 these pairs take the factored form, whose two BLAS products
+    # follow the layout of the positions and tangents as much as the
+    # difference form's tangent product does; 257 x 260 atoms reach the BLAS
+    # kernels where Fortran order moved the last bits
+    rng = np.random.default_rng(7)
+    for sigma in (10.0, 30.0):
+        for _ in range(4):
+            pa, ta = rng.uniform(-30.0, 30.0, (2, 257, 3))
+            pb, tb = rng.uniform(-30.0, 30.0, (2, 260, 3))
+            if p == 2:
+                assert max(np.abs(pa).max(), np.abs(pb).max()) * math.sqrt(3) / sigma < 8.0
+            want = inner(pa, ta, pb, tb, p, sigma)
+            want_self = inner(pa, ta, pa, ta, p, sigma)
+            for layout in ("F", "reversed", "column slice"):
+                xa, sa, xb, sb = (_layouts(x)[layout] for x in (pa, ta, pb, tb))
+                assert inner(xa, sa, xb, sb, p, sigma) == want, (sigma, layout)
+                assert inner(xa, sa, xa, sa, p, sigma) == want_self, (sigma, layout)
+
+
 @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
 def test_difference_form_takes_32_bytes_per_kernel_evaluation(rng, p):
     # MAX_PAIR_EVALS is sized for 32 B of intermediates per evaluation

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fiberk import (
@@ -20,7 +20,7 @@ from fiberk import (
 )
 
 from conftest import random_polyline
-from reference_impls import segment_by_piece
+from reference_impls import center_by_composition, segment_by_piece
 
 MASS = CenterFunctionKind.MASS_CENTER
 MID = CenterFunctionKind.ARCLENGTH_MIDPOINT
@@ -442,3 +442,93 @@ def test_property_segment_cut_near_a_vertex_matches_reference(fiber, k, offset, 
     j = data.draw(st.integers(min_value=1, max_value=len(cum) - 1))
     max_length = (cum[j] + offset * cum[-1]) / k
     assert_same_fibers(segment(fiber, max_length), segment_by_piece(fiber, max_length))
+
+
+_B = fiber_core.MAX_COORDINATE
+
+
+def _ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
+# Per-axis positions of a fiber: small ones, and ones from half the bound to
+# the bound (where the centered copy's coordinates, extent and center are
+# checked in full), a few ulps either side of both.
+_BASES = st.one_of(
+    st.sampled_from([0.0, 20.0]),
+    st.builds(
+        _ulps,
+        st.sampled_from([-_B, -0.5 * _B, 0.5 * _B, _B]),
+        st.integers(min_value=-3, max_value=3),
+    ),
+    st.floats(min_value=0.5 * _B, max_value=_B),
+    st.floats(min_value=-_B, max_value=-0.5 * _B),
+)
+# Per-point offsets from that position; 1e-160 next to 0 and 40 makes a
+# fiber whose centered copy repeats a point.
+_OFFSETS = st.one_of(
+    st.sampled_from([0.0, 1.0, 4.0, 1e-160, 40.0, 0.25 * _B, -0.25 * _B]),
+    st.floats(min_value=-50.0, max_value=50.0),
+)
+
+
+def _centered_outcome(fn, fiber, kind):
+    try:
+        c = fn(fiber, kind)
+    except ValueError as exc:
+        return "refused", str(exc)
+    assert c.original_center.flags.writeable is False and c.fiber.points.flags.writeable is False
+    return c.fiber.id, c.original_center.tobytes(), c.fiber.points.tobytes()
+
+
+# the CI near-duplicate fiber: 1e-160 - 20 rounds to -20
+_NEAR = [[0, 5, 0], [1e-160, 5, 0], [40, 5, 0]]
+# every coordinate within the bound, and the mass center one ulp past it
+_PAST = [[_B, 0, 0], [_B, 1, 0], [_B, 4, 0], [_B, 1, 0]]
+# spans exactly the bound along x; its centered copy spans one ulp more
+_SPAN = [
+    [-2.5e99, 2.4737079966109468e95, 0],
+    [0, 3.827971814186425e95, 0],
+    [-5e99, 6.315261996470603e95, 0],
+    [5e99, 8.505821103389241e95, 0],
+    [5e99, 1.0063220816339808e96, 0],
+]
+
+
+@given(
+    st.tuples(_BASES, _BASES, _BASES),
+    st.lists(st.tuples(_OFFSETS, _OFFSETS, _OFFSETS), min_size=2, max_size=6),
+    st.sampled_from(list(CenterFunctionKind)),
+)
+@example((0, 0, 0), _NEAR, MASS)
+@example((0, 0, 0), _PAST, MASS)
+@example((0, 0, 0), _SPAN, MID)
+@settings(max_examples=400, deadline=None)
+def test_property_center_refuses_as_the_full_check_does(base, offsets, kind):
+    # center checks a centered copy in full only when a magnitude passes half
+    # the bound; it must accept, refuse and word its refusal as the full check
+    try:
+        fiber = Fiber("f", np.add(base, offsets))
+    except ValueError:
+        assume(False)
+    want = _centered_outcome(center_by_composition, fiber, kind)
+    assert _centered_outcome(center, fiber, kind) == want
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize(
+    "points, kinds, message",
+    [
+        (_NEAR, [MASS, MID], "consecutive fiber points must be distinct"),
+        (_PAST, [MASS], "center must be within +-1e+100"),
+        (_SPAN, [MID], "fiber points must span at most 1e+100 along each axis"),
+    ],
+    ids=["repeat", "center-past-the-bound", "span-past-the-bound"],
+)
+def test_center_refuses_each_axis_as_the_full_check_does(points, kinds, message, axis):
+    fiber = Fiber("f", np.roll(points, axis, axis=1))
+    for kind in kinds:
+        assert _centered_outcome(center, fiber, kind) == ("refused", message)
+        assert _centered_outcome(center_by_composition, fiber, kind) == ("refused", message)

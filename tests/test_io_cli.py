@@ -133,6 +133,30 @@ class TestFiberFile:
         write_fibers(read_fibers(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_files_are_utf_8_whatever_the_locale(self, tmp_path):
+        # under an ASCII locale a non-ASCII id is written as UTF-8, read back,
+        # and written as UTF-8 into the dist CSV
+        a, out = tmp_path / "a.fib", tmp_path / "d.csv"
+        script = (
+            "import sys\n"
+            "from fiberk import Fiber, read_fibers, write_fibers\n"
+            "from fiberk.cli import main\n"
+            "ids = ['\\u00f1', 'b']\n"
+            "write_fibers([Fiber(i, [[0, y, 0], [1, y, 0]]) for i, y in zip(ids, [0, 5])], sys.argv[1])\n"
+            "assert [f.id for f in read_fibers(sys.argv[1])] == ids\n"
+            "sys.exit(main(['dist', '--in', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        env = {
+            **os.environ,
+            "LC_ALL": "C",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONPATH": str(Path(fiberk.__file__).parents[1]),
+        }
+        subprocess.run([sys.executable, "-c", script, str(a), str(out)], env=env, check=True)
+        assert a.read_bytes().startswith(b"fiberset v1 2\nfiber \xc3\xb1 2\n")
+        assert out.read_bytes().splitlines()[1].startswith(b"\xc3\xb1,b,")
+
 
 @pytest.mark.parametrize("nt, ns", [(1, 1), (2, 3), (3, 2)])
 def test_write_kcsv_lists_every_cell_once_in_t_major_order(tmp_path, nt, ns):
@@ -161,6 +185,13 @@ def parse_outcome(read, path):
 
 
 _VALID = "fiberset v1 2\nfiber a 3\n0 0 0\n1 0 0\n1 1 0\nfiber b 2\n5 5 5\n6.5 5 5\n"
+
+
+def _encoded(text: str) -> bytes:
+    """``text`` as UTF-8, each lone surrogate U+DC80 to U+DCFF written as the
+    byte it escapes, so that text can hold bytes that are not UTF-8."""
+    return text.encode("utf-8", "surrogateescape")
+
 
 # Malformed or unusual variants of _VALID; each must parse to the same fibers,
 # or fail with the same message, as the line-by-line parser.
@@ -220,6 +251,22 @@ _CORPUS = {
     + "extra\n",
     "valid fibers, then a record cut off at end of file": _VALID.replace("v1 2", "v1 3")
     + "fiber c 3\n0 0 0\n",
+    # "\udcff" stands for the byte 0xff, which is not UTF-8 (see _encoded)
+    "a byte not utf-8 in a coordinate line": _VALID.replace("1 0 0", "1 \udcff 0"),
+    "a byte not utf-8 in the header": _VALID.replace("v1 2", "v1\udce9 2"),
+    "a byte not utf-8 in a record": _VALID.replace("fiber b 2", "fiber b\udcff 2"),
+    "a byte not utf-8 as trailing content": _VALID + "\udcfe\n",
+    "a UTF-8 sequence cut short": _VALID.replace("6.5 5 5", "6.5 5 5\udcc3"),
+    "bad token, then a byte not utf-8": _VALID.replace("1 0 0", "1 x 0").replace(
+        "5 5 5", "5 5 \udcff"
+    ),
+    "bad token, then a byte not utf-8 in the same fiber": _VALID.replace(
+        "1 0 0\n1 1 0", "1 x 0\n1 \udcff 0"
+    ),
+    "a byte not utf-8, then a bad token in the same fiber": _VALID.replace(
+        "1 0 0\n1 1 0", "1 \udcff 0\n1 x 0"
+    ),
+    "non-ASCII UTF-8 id": _VALID.replace("fiber b", "fiber \u00f1\u8f74"),
     "NaN in the last fiber of a long file": (
         "fiberset v1 300\n"
         + "".join(f"fiber f{i} 2\n{i} 0 0\n{i} 1 0\n" for i in range(299))
@@ -231,7 +278,7 @@ _CORPUS = {
 @pytest.mark.parametrize("text", list(_CORPUS.values()), ids=list(_CORPUS))
 def test_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
     p = tmp_path / "f.fib"
-    p.write_bytes(text.encode())
+    p.write_bytes(_encoded(text))
     assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
 
 
@@ -245,7 +292,7 @@ def test_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
 )
 def test_read_fibers_names_a_bad_record(tmp_path, name, message):
     p = tmp_path / "f.fib"
-    p.write_bytes(_CORPUS[name].encode())
+    p.write_bytes(_encoded(_CORPUS[name]))
     with pytest.raises(FiberFileError, match=message):
         read_fibers(p)
 
@@ -300,8 +347,13 @@ def test_read_fibers_reports_the_first_bad_line(tmp_path):
             r":8: invalid fiber 'b': consecutive fiber points must be distinct$",
         ),
         ("valid fibers, then a record cut off at end of file", r":11: expected coordinate line"),
+        ("a byte not utf-8 in a coordinate line", r":4: not utf-8 text$"),
+        ("a byte not utf-8 in a record", r":6: not utf-8 text$"),
+        ("bad token, then a byte not utf-8", r":4: unparseable coordinate in '1 x 0'$"),
+        ("bad token, then a byte not utf-8 in the same fiber", r":4: unparseable coordinate"),
+        ("a byte not utf-8, then a bad token in the same fiber", r":4: not utf-8 text$"),
     ]:
-        p.write_bytes(_CORPUS[name].encode())
+        p.write_bytes(_encoded(_CORPUS[name]))
         with pytest.raises(FiberFileError, match=r"f\.fib" + message):
             read_fibers(p)
 
@@ -309,7 +361,7 @@ def test_read_fibers_reports_the_first_bad_line(tmp_path):
 _ODD_LINES = [
     "", "1 2", "1 2 3 4", "nan 0 0", "0 inf 0", "0 0 -inf", "1e999 0 0", "1_0 2 3",
     "0x1p3 0 0", "1\u00a02 3", "\u0661 2 3", "fiber x 2", "a b c", " 1\t2  3 ", "0 0 0",
-    "1 2\v3", "0 0 0\u2028", "\x1c",
+    "1 2\v3", "0 0 0\u2028", "\x1c", "1 \udcff 3", "fiber \u00f1 2",
 ]
 
 
@@ -341,7 +393,7 @@ def fiber_file_texts(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_property_read_fibers_matches_the_line_by_line_parser(tmp_path, text):
     p = tmp_path / "f.fib"
-    p.write_bytes(text.encode())
+    p.write_bytes(_encoded(text))
     assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p)
 
 
@@ -382,7 +434,7 @@ def test_read_fibers_matches_the_line_by_line_parser_in_small_blocks(
     monkeypatch.setattr(fileio, "_BLOCK_CHARS", block_chars)
     p = tmp_path / "f.fib"
     for name, text in _CORPUS.items():
-        p.write_bytes(text.encode())
+        p.write_bytes(_encoded(text))
         assert parse_outcome(read_fibers, p) == parse_outcome(read_fibers_by_line, p), name
 
 
@@ -441,7 +493,7 @@ def test_read_fibers_opens_a_file_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fileio, "open", counted_open, raising=False)
     for name, text in _CORPUS.items():
-        p.write_bytes(text.encode())
+        p.write_bytes(_encoded(text))
         opened.clear()
         parse_outcome(read_fibers, p)
         assert opened == [p], name
@@ -752,6 +804,20 @@ _NEAR_DUPLICATE = (
 )
 # not UTF-8: a file error (exit 1), not a bad flag value (exit 2)
 _UNDECODABLE = b"fiberset v1 1\nfiber a 2\n0 0 0\n1 \xff 0\n"
+# each: the bytes, the exit code of dist and the end of its stderr
+_UNDECODABLE_CASES = {
+    "line named": (_UNDECODABLE, 1, ":4: not utf-8 text\n"),
+    "earlier bad coordinate first": (
+        b"fiberset v1 2\nfiber a 3\n0 0 0\n1 x 0\n1 1 0\nfiber b 2\n5 5 \xff\n6.5 5 5\n",
+        1,
+        ":4: unparseable coordinate in '1 x 0'\n",
+    ),
+    "non-ASCII UTF-8 id": (
+        "fiberset v1 2\nfiber \u00f1 2\n0 0 0\n1 0 0\nfiber b 2\n0 5 0\n1 5 0\n".encode(),
+        0,
+        "",
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -921,6 +987,21 @@ def test_exit_code_table(dataset_file, tmp_path, capsys, argv, code):
     assert captured.err.count("\n") == 1
     assert len(captured.err) < 200
     assert not out.exists() and not unwritable.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "data, code, tail", list(_UNDECODABLE_CASES.values()), ids=list(_UNDECODABLE_CASES)
+)
+def test_undecodable_input_is_refused_at_its_line(tmp_path, capsys, data, code, tail):
+    src = tmp_path / "in.fib"
+    src.write_bytes(data)
+    out = tmp_path / "out.csv"
+    assert run(["dist", "--in", str(src), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"fiberk dist: {src}{tail}" and not out.exists()
+    else:
+        assert err == "" and out.read_text(encoding="utf-8").splitlines()[1].startswith("\u00f1,b,")
 
 
 @pytest.mark.parametrize("kind", [k.value for k in CenterFunctionKind])

@@ -29,6 +29,7 @@ from fiberk import backends, fiber_core, kfunction
 from fiberk.kfunction import _candidate_pairs
 
 from conftest import all_pairs_reference, rebinned_k
+from reference_impls import center_and_pack_per_fiber
 
 MASS = CenterFunctionKind.MASS_CENTER
 PAPER = KernelParams(p=2.0, sigma=100.0 / 3.0)
@@ -113,6 +114,23 @@ class TestAtomLimits:
         with pytest.raises(ValueError, match="fiber 3: .* atom total to 48, more than 36 in"):
             kfunction._center_and_pack(self.fibers(5), MASS, spacing)
         assert centered == ["0", "1", "2", "3"]
+
+
+@pytest.mark.parametrize("kind", list(CenterFunctionKind))
+@pytest.mark.parametrize("n_fibers, length", [(0, None), (1, None), (40, 4.0), (40, None)])
+def test_center_and_pack_matches_the_per_fiber_reference(kind, n_fibers, length):
+    # the offsets come from one cumsum of the current sizes, and each centered
+    # copy is checked in full only past half the coordinate bound: the same
+    # centers, atoms and offsets as packing one full check at a time
+    cfg = SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=max(n_fibers, 1), seed=3)
+    fibers = make_dataset(cfg)[:n_fibers]
+    if length is not None:
+        fibers = [piece for f in fibers for piece in segment(f, length)]
+    spacing = PAPER.sigma / 20.0
+    got = kfunction._center_and_pack(fibers, kind, spacing)
+    want = center_and_pack_per_fiber(fibers, kind, spacing)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
 class TestWindowCount:
