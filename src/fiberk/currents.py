@@ -104,7 +104,8 @@ def _check_atoms(tan: np.ndarray, *coordinates: np.ndarray) -> None:
     for values in coordinates:
         if not _all_nonzero(np.isfinite(values)):
             raise ValueError("atom coordinates must be finite")
-    if not _all_nonzero(np.einsum("ij,ij->i", tan, tan)):
+    # a sum of non-negative terms is 0, in any order, exactly when each term is
+    if not _all_nonzero(np.add.reduce(tan * tan, axis=1)):
         raise ValueError("weighted tangents must be nonzero")
 
 
@@ -178,10 +179,21 @@ def _shape_distance(na, nb, ab, orientation_invariant: bool):
     return np.sqrt(np.maximum(0.0, na + nb - 2.0 * ab))
 
 
+def _scalar_shape_distance(na: float, nb: float, ab: float, orientation_invariant: bool) -> float:
+    """``float(_shape_distance(na, nb, ab, orientation_invariant))`` for one
+    pair, in Python floats: the same IEEE operations without numpy's 0-d
+    overhead. ``max(0.0, x)`` would turn nan into 0.0, so nan and -0.0 pass
+    to ``math.sqrt`` unchanged, as they pass ``np.maximum(0.0, x)``."""
+    if orientation_invariant:
+        ab = abs(ab)
+    sq = na + nb - 2.0 * ab
+    return 0.0 if sq < 0.0 else math.sqrt(sq)
+
+
 def distance(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) -> float:
     """Currents distance ||a - b|| in the dual RKHS."""
     na, nb = inner_product(a, a, params), inner_product(b, b, params)
-    return float(_shape_distance(na, nb, inner_product(a, b, params), False))
+    return _scalar_shape_distance(na, nb, inner_product(a, b, params), False)
 
 
 def min_distance(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) -> float:
@@ -191,4 +203,4 @@ def min_distance(a: DiscreteCurrent, b: DiscreteCurrent, params: KernelParams) -
     and both candidate distances come from a single inner product.
     """
     na, nb = inner_product(a, a, params), inner_product(b, b, params)
-    return float(_shape_distance(na, nb, inner_product(a, b, params), True))
+    return _scalar_shape_distance(na, nb, inner_product(a, b, params), True)

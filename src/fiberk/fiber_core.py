@@ -118,20 +118,28 @@ def _refuse_repeats(pts: np.ndarray, starts=None) -> None:
     distinct = np.einsum("ij,ij->i", seg, seg)
     if starts is not None:
         distinct[starts[1:-1] - 1] = 1.0  # from one fiber's last point to the next's first
-    if not _all_nonzero(distinct):
+    _refuse_zero_steps(distinct)
+
+
+def _refuse_zero_steps(squares: np.ndarray) -> None:
+    """Raise ValueError if any of the squared step lengths ``squares`` is 0."""
+    if not _all_nonzero(squares):
         raise ValueError("consecutive fiber points must be distinct")
 
 
 @dataclass(frozen=True, eq=False)
 class Fiber:
-    """An ordered 3D polyline with an identifier. Its center is computed on
-    first use and kept, for the ``CenterFunctionKind`` asked for last."""
+    """An ordered 3D polyline with an identifier. Its cumulative arclengths
+    are computed on first use and kept, and so is its center, for the
+    ``CenterFunctionKind`` asked for last."""
 
     id: str
     points: np.ndarray
     # (kind, center point); one slot, not one per kind, as a run uses one kind
     # and a dict per fiber costs about 0.5 MB of peak memory on 5,000 pieces
     _center: tuple | None = field(default=None, init=False, repr=False)
+    # _cumlen(points), read-only; see _cum_of
+    _cum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = _validated_points(self.points)
@@ -140,14 +148,18 @@ class Fiber:
         object.__setattr__(self, "id", str(self.id))
 
     @classmethod
-    def _of_valid(cls, fid: str, pts: np.ndarray) -> Fiber:
+    def _of_valid(cls, fid: str, pts: np.ndarray, cum: np.ndarray | None = None) -> Fiber:
         """A fiber of id ``fid`` on ``pts``, which ``_validated_points`` has
-        passed (as one fiber or as a block of a batch); made read-only."""
+        passed (as one fiber or as a block of a batch); made read-only. ``cum``,
+        if given, must be ``_cumlen(pts)`` bit for bit, and is kept as it."""
         fiber = object.__new__(cls)
         pts.setflags(write=False)
+        if cum is not None:
+            cum.setflags(write=False)
         object.__setattr__(fiber, "id", fid)
         object.__setattr__(fiber, "points", pts)
         object.__setattr__(fiber, "_center", None)
+        object.__setattr__(fiber, "_cum", cum)
         return fiber
 
     def __eq__(self, other):
@@ -216,32 +228,54 @@ class Window:
         return np.all((pts >= self.lower) & (pts < self.upper), axis=1)
 
 
+def _step_squares(pts: np.ndarray) -> np.ndarray:
+    """The squared lengths of the steps of the polyline ``pts``."""
+    d = pts[1:] - pts[:-1]
+    return np.add.reduce(d * d, axis=1)
+
+
 def _seg_lengths(pts: np.ndarray) -> np.ndarray:
     # np.linalg.norm(d, axis=1) for real d, without its wrapper
-    d = pts[1:] - pts[:-1]
-    return np.sqrt(np.add.reduce(d * d, axis=1))
+    return np.sqrt(_step_squares(pts))
+
+
+def _cum_of_squares(squares: np.ndarray) -> np.ndarray:
+    """Cumulative arclengths from the squared step lengths ``squares``."""
+    cum = np.zeros(len(squares) + 1)
+    # np.cumsum's own ufunc, without its Python wrapper (about 1.2 us a call)
+    np.add.accumulate(np.sqrt(squares), out=cum[1:])
+    return cum
 
 
 def _cumlen(pts: np.ndarray) -> np.ndarray:
-    cum = np.empty(len(pts))
-    cum[0] = 0.0
-    np.cumsum(_seg_lengths(pts), out=cum[1:])
-    return cum
+    return _cum_of_squares(_step_squares(pts))
+
+
+def _cum_of(fiber: Fiber) -> np.ndarray:
+    """``_cumlen(fiber.points)``, read-only, computed on first use and kept."""
+    if fiber._cum is None:
+        cum = _cumlen(fiber.points)
+        cum.setflags(write=False)
+        object.__setattr__(fiber, "_cum", cum)
+    return fiber._cum
 
 
 def _points_at(pts: np.ndarray, cum: np.ndarray, s) -> np.ndarray:
     """Interpolate positions at arclength(s) ``s`` along the polyline."""
     s = np.asarray(s, dtype=np.float64)
+    # one copy of the columns, contiguous: np.interp copies a strided column
+    # to contiguous memory itself, so the values are the same
+    cols = pts.T.copy()
     out = np.empty(s.shape + (3,))
     for k in range(3):
-        out[..., k] = np.interp(s, cum, pts[:, k])
+        out[..., k] = np.interp(s, cum, cols[k])
     return out
 
 
 def arclength(fiber: Fiber) -> float:
     """Total Euclidean length of the polyline: the last cumulative length,
     the total that ``resample`` and ``segment`` cut by."""
-    return float(_cumlen(fiber.points)[-1])
+    return float(_cum_of(fiber)[-1])
 
 
 def _count_text(n: int | float) -> str:
@@ -261,10 +295,14 @@ def _piece_count(total: float, max_length: float) -> int | float:
 def _counted(fiber: Fiber, length: float, name: str, limit: int, unit: str):
     """The cumulative arclengths of ``fiber`` and its ``_piece_count`` at
     ``length``. Raises ValueError unless ``length`` (called ``name``) is > 0
-    and the count of ``unit`` is at most ``limit``."""
+    and the count of ``unit`` is at most ``limit``. The arclengths are the
+    ones the fiber keeps (``_cum_of``), so each polyline's are computed once:
+    ``segment`` cuts by the ones that ``arclength`` computed to count the
+    pieces, and ``discretize`` resamples a centered copy by the ones that
+    ``center`` computed."""
     if not length > 0:
         raise ValueError(f"{name} must be > 0")
-    cum = _cumlen(fiber.points)
+    cum = _cum_of(fiber)
     n = _piece_count(cum[-1], length)
     if not n <= limit:
         raise ValueError(
@@ -375,6 +413,10 @@ def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     of it; below that, none of these checks can fail. Raises ValueError with
     the message of the check that fails, the centered points' checks first
     (as ``Fiber``, then ``CenteredFiber``, would check them).
+
+    Below half the bound, the squared step lengths of the repeat check also
+    give the centered copy's cumulative arclengths, which it keeps: they are
+    computed once for this polyline, and ``discretize`` reads them.
     """
     c = _center_of(fiber, kind)
     pts = fiber.points - c
@@ -383,11 +425,17 @@ def center(fiber: Fiber, kind: CenterFunctionKind) -> CenteredFiber:
     # within half the bound (which nan fails), the coordinate and center
     # checks pass and the extent check is not reached
     if _all_nonzero(np.abs(pts) <= half) and abs(x) <= half and abs(y) <= half and abs(z) <= half:
-        _refuse_repeats(pts)
+        # a sum of non-negative terms is 0 exactly when every term is, in any
+        # order, so this refuses what _refuse_repeats refuses; and the squares
+        # are _cumlen's, so the arclengths are _cumlen(pts) bit for bit
+        squares = _step_squares(pts)
+        _refuse_zero_steps(squares)
+        cum = _cum_of_squares(squares)
     else:
         pts = _validated_points(pts)
         _largest_coordinate(c, "center")
-    return CenteredFiber._of_valid(c, Fiber._of_valid(fiber.id, pts))
+        cum = None
+    return CenteredFiber._of_valid(c, Fiber._of_valid(fiber.id, pts, cum))
 
 
 def segment(fiber: Fiber, max_length: float) -> list[Fiber]:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberk import (
@@ -22,7 +22,7 @@ from fiberk import (
     min_distance,
     resample,
 )
-from fiberk.currents import _shape_distance
+from fiberk.currents import _scalar_shape_distance, _shape_distance
 from fiberk.kfunction import _center_and_pack
 from fiberk.simulate import gen_brownian
 
@@ -403,3 +403,25 @@ def test_squared_distance_is_negative_only_beyond_p_2(clustered_atoms, p):
     else:
         assert negative.sum() > 700 and ratio.min() < -0.005
         assert (_shape_distance(norms_sq[ia], norms_sq[ib], ab, True)[negative] == 0).all()
+
+
+# squared norms and cross sums: any double, and the values where a max, a
+# sign of zero or a nan could part the scalar form from the array form
+_SUMS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+)
+
+
+@given(_SUMS, _SUMS, _SUMS, st.booleans())
+@example(-0.0, -0.0, 0.0, False)  # the squared distance is -0.0
+@example(1.0, 1.0, 1.0, True)  # ... +0.0
+@example(1.0, 1.0, 1.5, True)  # ... negative
+@example(math.inf, 1.0, math.inf, False)  # ... nan, which max(0.0, x) would hide
+@settings(max_examples=1000, deadline=None)
+def test_property_scalar_shape_distance_is_the_array_form(na, nb, ab, orientation_invariant):
+    # distance and min_distance take the scalar form; the dist CSV must not move
+    got = _scalar_shape_distance(na, nb, ab, orientation_invariant)
+    want = float(_shape_distance(na, nb, ab, orientation_invariant))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

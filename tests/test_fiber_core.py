@@ -13,10 +13,13 @@ from fiberk import (
     SimConfig,
     arclength,
     center,
+    discretize,
     fiber_core,
     make_dataset,
+    read_fibers,
     resample,
     segment,
+    write_fibers,
 )
 
 from conftest import random_polyline
@@ -149,6 +152,65 @@ class TestArclength:
         cfg = SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=100, seed=1)
         for f in make_dataset(cfg):
             assert arclength(f) == fiber_core._cumlen(f.points)[-1]
+
+
+def assert_keeps_cumlen(fiber):
+    kept = fiber._cum
+    assert kept is not None and not kept.flags.writeable
+    assert kept.tobytes() == fiber_core._cumlen(fiber.points).tobytes()
+
+
+class TestKeptArclengths:
+    # a fiber keeps its cumulative arclengths once computed, and center hands
+    # its fast branch's to the centered copy: every reader (arclength,
+    # resample, segment, discretize) must get _cumlen's bits either way
+
+    @pytest.mark.parametrize("kind", list(CenterFunctionKind))
+    def test_center_hands_the_copy_its_arclengths(self, rng, kind):
+        for n_pts in [2, 3, 5, 20, 101]:
+            f = random_polyline(rng, n_pts=n_pts, scale=10.0 ** rng.uniform(-3, 3))
+            assert_keeps_cumlen(center(f, kind).fiber)
+
+    @pytest.mark.parametrize("kind", list(CenterFunctionKind))
+    def test_a_copy_checked_in_full_computes_them_on_first_use(self, kind):
+        # the center lies past half the bound, so the copy gets the full check
+        bound = fiber_core.MAX_COORDINATE
+        f = Fiber("far", np.add(0.75 * bound, [[0, 0, 0], [1e98, 2e98, 0], [3e98, 1e98, 5e97]]))
+        c = center(f, kind)
+        assert abs(c.original_center).max() > 0.5 * bound and c.fiber._cum is None
+        arclength(c.fiber)
+        assert_keeps_cumlen(c.fiber)
+
+    def test_fibers_made_read_and_cut_compute_them_on_first_use(self, rng, tmp_path):
+        made = [random_polyline(rng, n_pts=n, fid=str(n)) for n in [2, 7, 60]]
+        write_fibers(made, tmp_path / "f.fib")
+        read = read_fibers(tmp_path / "f.fib")
+        assert all(f._cum is None for f in made + read)
+        pieces = [p for f in made for p in segment(f, 3.0)]
+        for f in made:
+            assert_keeps_cumlen(f)  # segment computed them
+        for f in read + pieces:
+            assert f._cum is None
+            arclength(f)
+            assert_keeps_cumlen(f)
+
+    @pytest.mark.parametrize("kind", list(CenterFunctionKind))
+    def test_readers_give_the_same_bits_with_the_slot_filled_or_empty(self, rng, kind):
+        for n_pts in [2, 4, 33]:
+            filled = center(random_polyline(rng, n_pts=n_pts), kind).fiber
+
+            def empty():
+                f = Fiber(filled.id, filled.points)
+                assert f._cum is None
+                return f
+
+            assert arclength(filled) == arclength(empty())
+            assert resample(filled, 0.7).points.tobytes() == resample(empty(), 0.7).points.tobytes()
+            got, want = discretize(filled, 0.4), discretize(empty(), 0.4)
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.tangents.tobytes() == want.tangents.tobytes()
+            assert_same_fibers(segment(filled, 2.5), segment(empty(), 2.5))
+            assert_keeps_cumlen(filled)
 
 
 class TestResample:
@@ -480,6 +542,8 @@ def _centered_outcome(fn, fiber, kind):
     except ValueError as exc:
         return "refused", str(exc)
     assert c.original_center.flags.writeable is False and c.fiber.points.flags.writeable is False
+    kept = c.fiber._cum  # center keeps _cumlen's bits, or nothing
+    assert kept is None or kept.tobytes() == fiber_core._cumlen(c.fiber.points).tobytes()
     return c.fiber.id, c.original_center.tobytes(), c.fiber.points.tobytes()
 
 

@@ -738,6 +738,24 @@ class TestCliKfun:
         # saturated: every ordered pair among the 12 pieces
         assert k[0, 0] == pytest.approx(11.0)
 
+    @pytest.mark.parametrize("kind", [k.value for k in CenterFunctionKind])
+    def test_segmenting_is_kfun_on_the_pieces_written_out(self, tmp_path, capsys, kind):
+        # kfun cuts each fiber by the arclengths it kept when counting the
+        # pieces; the pieces written out and read back carry none, so the K
+        # table and stdout must not depend on which arclengths were kept
+        src, pieces = tmp_path / "f.fib", tmp_path / "pieces.fib"
+        cfg = SimConfig(process=ProcessKind.UNIFORM_BROWNIAN, n_fibers=50, seed=1)
+        write_fibers(make_dataset(cfg), src)
+        write_fibers([p for f in read_fibers(src) for p in fiber_core.segment(f, 4.0)], pieces)
+        flags = ["--inset", "0.13", "--t-grid", "1:4:1", "--s-grid", "1:8:1", "--center", kind]
+        cut, whole = tmp_path / "cut.csv", tmp_path / "whole.csv"
+        assert run(["kfun", "--in", str(src), "--segment-length", "4", *flags, "--out", str(cut)]) == 0
+        printed = capsys.readouterr().out
+        assert run(["kfun", "--in", str(pieces), *flags, "--out", str(whole)]) == 0
+        assert capsys.readouterr().out == printed
+        assert cut.read_bytes() == whole.read_bytes()
+        assert read_k_table(cut)[2].max() > 0
+
     def test_p_inf_accepted(self, dataset_file, tmp_path):
         out = tmp_path / "k.csv"
         code = run(
